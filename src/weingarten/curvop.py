@@ -11,10 +11,10 @@ with the top coefficient deformed toward a round-sphere problem,
     alpha_{k-1}(X, t) = t * alpha_{k-1}(X)
         + (1 - t) * phi(|X|) * (sigma_k(e)/sigma_{k-1}(e)) / |X|.
 
-The residual is the left side minus the right side; its Jacobian with
-respect to the nodal radii comes from one-sided finite differences of the
-whole pipeline, probed in structurally independent column groups so one
-residual evaluation fills many columns.
+The residual is the left side minus the right side.  It reads the nodal
+radii only through the value and the five derivative jets of rho at each
+node, so its Jacobian is the chain rule: per-node partials with respect to
+each jet, times the grid's fixed sparse stencil matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from . import symmfunc
 from .exprlang import evaluate, parse
-from .spheregeom import SphereGrid, geometry
+from .spheregeom import SphereGrid, geometry, local_geometry
 
 __all__ = [
     "AdmissibilityError",
@@ -44,8 +44,8 @@ __all__ = [
 #: slack for the midpoint concavity comparison
 CONCAVITY_SLACK = 1e-10
 
-#: an upper bound on nonzeros per Jacobian row (stencil footprint)
-STENCIL_FOOTPRINT = 13
+#: nonzeros per Jacobian row: the 3x3 stencil footprint
+STENCIL_FOOTPRINT = 9
 
 
 class AdmissibilityError(ArithmeticError):
@@ -164,101 +164,48 @@ def residual_field(spec, rho, t):
     return residual(spec, geometry(spec.grid, rho), t)
 
 
-def _build_fd_structure(grid):
-    """Finite-difference dependency structure of the residual stencil.
-
-    For each row (node) the set of columns it reads is its 3x3 padded
-    neighborhood, with ghost rows mapped through the antipodal rule.  A
-    greedy coloring groups columns whose influence sets never share a
-    row, so each group is probed with a single residual evaluation.
-    """
-    nt, npj = grid.ntheta, grid.nphi
-    half = npj // 2
-
-    def node_id(i, j):
-        return i * npj + j
-
-    reads = []
-    for i in range(nt):
-        for j in range(npj):
-            cols = set()
-            for di in (-1, 0, 1):
-                ii = i + di
-                for dj in (-1, 0, 1):
-                    jj = (j + dj) % npj
-                    if ii < 0:
-                        cols.add(node_id(0, (jj + half) % npj))
-                    elif ii >= nt:
-                        cols.add(node_id(nt - 1, (jj + half) % npj))
-                    else:
-                        cols.add(node_id(ii, jj))
-            reads.append(sorted(cols))
-
-    size = nt * npj
-    rows_by_col = [[] for _ in range(size)]
-    for row, cols in enumerate(reads):
-        for q in cols:
-            rows_by_col[q].append(row)
-
-    color = np.full(size, -1, dtype=int)
-    for q in range(size):
-        used = set()
-        for row in rows_by_col[q]:
-            for p in reads[row]:
-                if color[p] >= 0:
-                    used.add(color[p])
-        c = 0
-        while c in used:
-            c += 1
-        color[q] = c
-
-    groups = [np.flatnonzero(color == c) for c in range(color.max() + 1)]
-    rows_by_col = [np.asarray(r, dtype=int) for r in rows_by_col]
-    return groups, rows_by_col
-
-
-def _fd_structure(grid):
-    if grid._fd_structure is None:
-        grid._fd_structure = _build_fd_structure(grid)
-    return grid._fd_structure
+def _jet_residual(spec, jets, m, value, t):
+    """Residual with jet m replaced by value at every node."""
+    trial = list(jets)
+    trial[m] = value
+    return residual(spec, local_geometry(spec.grid, trial[0], trial[1:]), t)
 
 
 def jacobian(spec, rho, t):
-    """Sparse Jacobian d residual / d rho by grouped central finite
-    differences of the full residual pipeline, step sqrt(eps)*max(1,|rho|).
+    """Sparse Jacobian d residual / d rho by the chain rule,
 
-    Central probes keep the truncation error O(h^2) even where the
-    phi-direction stencils carry 1/sin(theta)^2 amplification near the
-    poles; one-sided probes lose several digits there.
+        J = sum_m diag(dF/dq_m) D_m,  q = (rho, rho_t, rho_p, rho_tt, rho_tp, rho_pp),
+
+    with D_m the grid's `jet_stencils` (D_0 the identity).  The partials
+    dF/dq_m are per node: central differences of `residual` in one jet at
+    a time, all nodes at once, step eps^(1/3) * max(s_m, |q_m|) with s_m
+    the jet's natural scale (sin theta per phi derivative, else 1), which
+    balances truncation against rounding.  No difference is taken across
+    the large stencil weights that cancel near the poles, and the stencils
+    annihilate constants, so J @ 1 is dF/drho up to rounding.
+
+    Every perturbed evaluation goes through `residual`, so one that leaves
+    the admissible cone raises AdmissibilityError.
     """
     grid = spec.grid
-    rho = grid.check_field(rho)
-    flat = rho.ravel()
-    groups, rows_by_col = _fd_structure(grid)
-    sqrt_eps = math.sqrt(np.finfo(float).eps)
+    base = geometry(grid, rho)
+    jets = (base.rho,) + base.jets
+    sin_theta = grid.sin_theta[:, None]
+    scales = (1.0, 1.0, sin_theta, 1.0, sin_theta, sin_theta * sin_theta)
+    stencils = grid.jet_stencils
+    rel_step = np.finfo(float).eps ** (1.0 / 3.0)
 
-    rows_out = []
-    cols_out = []
-    data_out = []
-    for group in groups:
-        steps = sqrt_eps * np.maximum(1.0, np.abs(flat[group]))
-        plus = flat.copy()
-        plus[group] += steps
-        minus = flat.copy()
-        minus[group] -= steps
-        f_plus = residual_field(spec, plus.reshape(grid.shape), t).ravel()
-        f_minus = residual_field(spec, minus.reshape(grid.shape), t).ravel()
-        for q, h in zip(group, steps):
-            rows = rows_by_col[q]
-            rows_out.append(rows)
-            cols_out.append(np.full(rows.size, q, dtype=int))
-            data_out.append((f_plus[rows] - f_minus[rows]) / (2.0 * h))
-
-    rows_out = np.concatenate(rows_out)
-    cols_out = np.concatenate(cols_out)
-    data_out = np.concatenate(data_out)
-    size = grid.size
-    return sp.csr_matrix((data_out, (rows_out, cols_out)), shape=(size, size))
+    data = np.zeros((grid.size, STENCIL_FOOTPRINT))
+    for m, (q, scale, stencil) in enumerate(zip(jets, scales, stencils)):
+        step = rel_step * np.maximum(scale, np.abs(q))
+        plus = q + step
+        minus = q - step
+        partial = (
+            _jet_residual(spec, jets, m, plus, t) - _jet_residual(spec, jets, m, minus, t)
+        ) / (plus - minus)
+        data += partial.reshape(-1, 1) * stencil.data.reshape(grid.size, -1)
+    pattern = stencils[0]
+    return sp.csr_matrix((data.ravel(), pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 def _g_diagonal_derivative(lam, alphas, k):

@@ -5,16 +5,19 @@ A surface is a positive field rho on a staggered latitude/longitude grid
 the unit direction.  Derivatives are second-order central differences:
 periodic in phi, and continued across each pole by the antipodal rule
 value(-theta, phi) = value(theta, phi + pi).  All curvature quantities
-come from closed-form 2x2 algebra, so a whole grid is a handful of
-vectorized array operations.
+come from closed-form 2x2 algebra applied node by node to rho and its
+derivative jets, so a whole grid is a handful of vectorized array
+operations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .exprlang import EvalEnv
 
@@ -23,6 +26,7 @@ __all__ = [
     "GeometryState",
     "covariant_gradient",
     "covariant_hessian",
+    "local_geometry",
     "geometry",
 ]
 
@@ -53,7 +57,6 @@ class SphereGrid:
         self.sin_theta = np.sin(self.theta)
         self.cos_theta = np.cos(self.theta)
         self.cot_theta = self.cos_theta / self.sin_theta
-        self._fd_structure = None  # lazy finite-difference dependency info
 
     @property
     def size(self):
@@ -96,6 +99,18 @@ class SphereGrid:
         d1, d2, d3 = self.directions()
         return EvalEnv(rho, rho * d1, rho * d2, rho * d3)
 
+    @cached_property
+    def jet_stencils(self):
+        """Sparse matrices (D_0, ..., D_5) taking a flattened field to its
+        value and its derivatives (theta, phi, theta-theta, theta-phi,
+        phi-phi): the stencils of `geometry`, columns mapped through the
+        same `pad` ghost rule.  All six share one pattern of 9 entries per
+        row in ascending column order, explicit zeros included, so they
+        combine entry by entry.  Built on first use; only the Jacobian
+        reads them.
+        """
+        return _jet_stencils(self)
+
 
 def _raw_derivatives(grid, field):
     padded = grid.pad(field)
@@ -109,6 +124,45 @@ def _raw_derivatives(grid, field):
         padded[2:, 2:] - padded[2:, :-2] - padded[:-2, 2:] + padded[:-2, :-2]
     ) / (4.0 * dt * dp)
     return d_theta, d_phi, d_tt, d_tp, d_pp
+
+
+def _jet_stencils(grid):
+    nt, npj = grid.shape
+    dt, dp = grid.dtheta, grid.dphi
+    index = grid.pad(np.arange(grid.size, dtype=float).reshape(grid.shape))
+    offsets = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+    cols = np.stack(
+        [index[1 + di:nt + 1 + di, 1 + dj:npj + 1 + dj].ravel() for di, dj in offsets],
+        axis=1,
+    ).astype(np.intp)
+    at = {offset: k for k, offset in enumerate(offsets)}
+    weights = np.zeros((6, len(offsets)))
+    weights[0, at[0, 0]] = 1.0
+    weights[1, at[1, 0]] = 1.0 / (2.0 * dt)
+    weights[1, at[-1, 0]] = -1.0 / (2.0 * dt)
+    weights[2, at[0, 1]] = 1.0 / (2.0 * dp)
+    weights[2, at[0, -1]] = -1.0 / (2.0 * dp)
+    weights[3, [at[1, 0], at[-1, 0]]] = 1.0 / (dt * dt)
+    weights[3, at[0, 0]] = -2.0 / (dt * dt)
+    weights[4, [at[1, 1], at[-1, -1]]] = 1.0 / (4.0 * dt * dp)
+    weights[4, [at[1, -1], at[-1, 1]]] = -1.0 / (4.0 * dt * dp)
+    weights[5, [at[0, 1], at[0, -1]]] = 1.0 / (dp * dp)
+    weights[5, at[0, 0]] = -2.0 / (dp * dp)
+
+    order = np.argsort(cols, axis=1)
+    indices = np.take_along_axis(cols, order, axis=1).ravel()
+    indptr = np.arange(0, indices.size + 1, len(offsets))
+    shape = (grid.size, grid.size)
+    return tuple(csr_matrix((w[order].ravel(), indices, indptr), shape=shape) for w in weights)
+
+
+def _sym2(a_tt, a_tp, a_pp):
+    out = np.empty(a_tt.shape + (2, 2))
+    out[..., 0, 0] = a_tt
+    out[..., 0, 1] = a_tp
+    out[..., 1, 0] = a_tp
+    out[..., 1, 1] = a_pp
+    return out
 
 
 def covariant_gradient(grid, field):
@@ -130,39 +184,83 @@ def covariant_hessian(grid, field):
     h_tt = d_tt
     h_tp = d_tp - cot * d_phi
     h_pp = d_pp + st * ct * d_theta
-    hess = np.empty(field.shape + (2, 2))
-    hess[..., 0, 0] = h_tt
-    hess[..., 0, 1] = h_tp
-    hess[..., 1, 0] = h_tp
-    hess[..., 1, 1] = h_pp
-    return hess
+    return _sym2(h_tt, h_tp, h_pp)
 
 
 @dataclass
 class GeometryState:
-    """Extrinsic geometry of one radial graph, all fields per node."""
+    """Extrinsic geometry of one radial graph, all fields per node.
+
+    The normal and the fundamental forms as (nt, np, 2, 2) arrays are
+    built from the fields on first access; the solver reads only kappa
+    and support.
+    """
 
     grid: SphereGrid
     rho: np.ndarray
+    jets: tuple                   # (rho_t, rho_p, rho_tt, rho_tp, rho_pp)
     v: np.ndarray                 # sqrt(1 + |D rho|^2 / rho^2)
-    normal: np.ndarray            # outward unit normal, (nt, np, 3)
-    metric: np.ndarray            # g_ij, (nt, np, 2, 2)
-    metric_inv: np.ndarray        # g^ij
-    second_form: np.ndarray       # h_ij
-    shape_operator: np.ndarray    # h^i_j = g^ik h_kj
+    metric_parts: tuple           # (g_tt, g_tp, g_pp)
+    second_form_parts: tuple      # (h_tt, h_tp, h_pp)
     kappa: np.ndarray             # principal curvatures, ascending, (nt, np, 2)
     support: np.ndarray           # <X, nu> = rho^2 / sqrt(rho^2 + |D rho|^2)
-    mean_curvature: np.ndarray    # kappa_1 + kappa_2
+
+    @property
+    def mean_curvature(self):
+        """kappa_1 + kappa_2."""
+        return self.kappa[..., 0] + self.kappa[..., 1]
+
+    @cached_property
+    def normal(self):
+        """Outward unit normal (rho e_rho - grad rho) / w, (nt, np, 3), with
+        the ambient representation
+        grad rho = D_theta rho e_theta + (D_phi rho / sin t) e_phi."""
+        grid, rho = self.grid, self.rho
+        d_theta, d_phi = self.jets[:2]
+        st = grid.sin_theta[:, None]
+        ct = grid.cos_theta[:, None]
+        w = np.sqrt(rho * rho + d_theta * d_theta + (d_phi * d_phi) / (st * st))
+        cp = np.cos(grid.phi)[None, :]
+        sp = np.sin(grid.phi)[None, :]
+        e_rho = np.stack([st * cp, st * sp, ct * np.ones_like(cp)], axis=-1)
+        e_theta = np.stack([ct * cp, ct * sp, -st * np.ones_like(cp)], axis=-1)
+        e_phi = np.stack(
+            [-sp * np.ones_like(st), cp * np.ones_like(st), np.zeros_like(st * cp)], axis=-1
+        )
+        grad_vec = d_theta[..., None] * e_theta + (d_phi / st)[..., None] * e_phi
+        return (rho[..., None] * e_rho - grad_vec) / w[..., None]
+
+    @cached_property
+    def metric(self):
+        """g_ij, (nt, np, 2, 2)."""
+        return _sym2(*self.metric_parts)
+
+    @cached_property
+    def metric_inv(self):
+        """g^ij."""
+        g_tt, g_tp, g_pp = self.metric_parts
+        det_g = g_tt * g_pp - g_tp * g_tp
+        return _sym2(g_pp / det_g, -g_tp / det_g, g_tt / det_g)
+
+    @cached_property
+    def second_form(self):
+        """h_ij."""
+        return _sym2(*self.second_form_parts)
+
+    @cached_property
+    def shape_operator(self):
+        """h^i_j = g^ik h_kj."""
+        return self.metric_inv @ self.second_form
 
 
-def geometry(grid, rho):
-    """Full extrinsic geometry of the radial graph rho over the grid."""
-    rho = grid.check_field(rho)
-    if np.any(rho <= 0.0):
-        bad = np.argwhere(rho <= 0.0)[0]
-        raise ValueError(f"rho must be positive, violated at node {tuple(bad)}")
+def local_geometry(grid, rho, jets):
+    """Geometry of a radial graph node by node, from rho and its jets
+    (rho_t, rho_p, rho_tt, rho_tp, rho_pp) at each node; no stencil is
+    applied here, so any jet may be perturbed on its own.
 
-    d_theta, d_phi, d_tt, d_tp, d_pp = _raw_derivatives(grid, rho)
+    Raises FloatingPointError at the first node with non-finite curvature.
+    """
+    d_theta, d_phi, d_tt, d_tp, d_pp = jets
     st = grid.sin_theta[:, None]
     ct = grid.cos_theta[:, None]
     cot = grid.cot_theta[:, None]
@@ -177,16 +275,6 @@ def geometry(grid, rho):
     v = w / rho
     support = rho * rho / w
 
-    # outward unit normal: (rho e_rho - grad rho) / w, with the ambient
-    # representation grad rho = D_theta rho e_theta + (D_phi rho / sin t) e_phi
-    cp = np.cos(grid.phi)[None, :]
-    sp = np.sin(grid.phi)[None, :]
-    e_rho = np.stack([st * cp, st * sp, ct * np.ones_like(cp)], axis=-1)
-    e_theta = np.stack([ct * cp, ct * sp, -st * np.ones_like(cp)], axis=-1)
-    e_phi = np.stack([-sp * np.ones_like(st), cp * np.ones_like(st), np.zeros_like(st * cp)], axis=-1)
-    grad_vec = d_theta[..., None] * e_theta + (d_phi / st)[..., None] * e_phi
-    normal = (rho[..., None] * e_rho - grad_vec) / w[..., None]
-
     g_tt = rho * rho + d_theta * d_theta
     g_tp = d_theta * d_phi
     g_pp = rho * rho * sin2 + d_phi * d_phi
@@ -197,9 +285,6 @@ def geometry(grid, rho):
     h_pp = inv_v * (-hess_pp + rho * sin2 + 2.0 * d_phi * d_phi / rho)
 
     det_g = g_tt * g_pp - g_tp * g_tp
-    gi_tt = g_pp / det_g
-    gi_tp = -g_tp / det_g
-    gi_pp = g_tt / det_g
 
     # symmetric square root inverse of g: for a 2x2 SPD matrix M,
     # sqrt(M) = (M + sqrt(det M) I) / tau with tau = sqrt(tr M + 2 sqrt(det M)),
@@ -226,37 +311,22 @@ def geometry(grid, rho):
         bad = np.argwhere(~np.isfinite(kappa))[0][:2]
         raise FloatingPointError(f"non-finite curvature at node {tuple(bad)}")
 
-    metric = np.empty(rho.shape + (2, 2))
-    metric[..., 0, 0] = g_tt
-    metric[..., 0, 1] = g_tp
-    metric[..., 1, 0] = g_tp
-    metric[..., 1, 1] = g_pp
-    metric_inv = np.empty_like(metric)
-    metric_inv[..., 0, 0] = gi_tt
-    metric_inv[..., 0, 1] = gi_tp
-    metric_inv[..., 1, 0] = gi_tp
-    metric_inv[..., 1, 1] = gi_pp
-    second_form = np.empty_like(metric)
-    second_form[..., 0, 0] = h_tt
-    second_form[..., 0, 1] = h_tp
-    second_form[..., 1, 0] = h_tp
-    second_form[..., 1, 1] = h_pp
-    shape_operator = np.empty_like(metric)
-    shape_operator[..., 0, 0] = gi_tt * h_tt + gi_tp * h_tp
-    shape_operator[..., 0, 1] = gi_tt * h_tp + gi_tp * h_pp
-    shape_operator[..., 1, 0] = gi_tp * h_tt + gi_pp * h_tp
-    shape_operator[..., 1, 1] = gi_tp * h_tp + gi_pp * h_pp
-
     return GeometryState(
         grid=grid,
         rho=rho,
+        jets=tuple(jets),
         v=v,
-        normal=normal,
-        metric=metric,
-        metric_inv=metric_inv,
-        second_form=second_form,
-        shape_operator=shape_operator,
+        metric_parts=(g_tt, g_tp, g_pp),
+        second_form_parts=(h_tt, h_tp, h_pp),
         kappa=kappa,
         support=support,
-        mean_curvature=kappa[..., 0] + kappa[..., 1],
     )
+
+
+def geometry(grid, rho):
+    """Full extrinsic geometry of the radial graph rho over the grid."""
+    rho = grid.check_field(rho)
+    if np.any(rho <= 0.0):
+        bad = np.argwhere(rho <= 0.0)[0]
+        raise ValueError(f"rho must be positive, violated at node {tuple(bad)}")
+    return local_geometry(grid, rho, _raw_derivatives(grid, rho))

@@ -1,4 +1,5 @@
-"""Acceptance suite: eight end-to-end criteria, one test each.
+"""Acceptance suite: eight end-to-end criteria, one test each, and a
+refinement test under criterion 7.
 
 Every test prints a single PASS line on success; pytest -v adds its own
 PASSED/FAILED verdict per criterion.  Budgets are wall-clock seconds on
@@ -251,6 +252,22 @@ def test_c7_nonradial_benchmark():
     elapsed = time.perf_counter() - begin
     print(f"PASS criterion 7: tilted coefficients certified and solved, "
           f"|F| = {final_res:.1e}, osc(rho) = {oscillation:.4f} ({elapsed:.2f}s)")
+
+
+def test_c7_nonradial_refinement_order():
+    begin = time.perf_counter()
+    minima = []
+    for nt in (16, 32, 64):
+        spec = benchmark_spec(SphereGrid(nt, 2 * nt), alpha0=ALPHA0_TILTED)
+        rho, solve_report = continue_to_one(spec)
+        assert solve_report.reached_t1
+        assert np.abs(residual_field(spec, rho, 1.0)).max() <= 1e-8
+        minima.append(float(rho.min()))
+    order = math.log2((minima[0] - minima[1]) / (minima[1] - minima[2]))
+    assert 1.7 <= order <= 2.3
+    elapsed = time.perf_counter() - begin
+    print(f"PASS criterion 7: tilted solutions refine at order {order:.2f} "
+          f"in min(rho) over 16x32, 32x64, 64x128 ({elapsed:.2f}s)")
 
 
 def test_c8_cli_round_trip(tmp_path, capsys):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from weingarten import cli
+from weingarten import cli, spheregeom
 from weingarten.config import ConfigError, load_config
 from weingarten.export import read_solution_csv
 
@@ -221,6 +221,23 @@ def test_export_to_obj_and_back_to_csv(tmp_path, capsys):
     grid_b, rho_b = read_solution_csv(custom)
     assert grid_a.shape == grid_b.shape
     assert np.array_equal(rho_a, rho_b)
+
+
+def test_check_verify_export_never_build_jacobian_stencils(tmp_path, monkeypatch, capsys):
+    # only Newton reads the stencil matrices; the read and write paths
+    # must not pay for building them
+    cfg = write_cfg(tmp_path)
+    assert cli.main(["solve", str(cfg)]) == 0
+    solution = tmp_path / "out" / "solution.csv"
+
+    def refuse(grid):
+        raise AssertionError("jet stencils built outside Newton")
+
+    monkeypatch.setattr(spheregeom, "_jet_stencils", refuse)
+    assert cli.main(["check", str(cfg)]) == 0
+    assert cli.main(["verify", str(solution), str(cfg)]) == 0
+    assert cli.main(["export", str(solution), str(cfg), "--format", "obj"]) == 0
+    assert cli.main(["export", str(solution), str(cfg), "--format", "csv"]) == 0
 
 
 def test_unknown_command_exits_with_usage_error(capsys):

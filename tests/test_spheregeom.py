@@ -6,6 +6,7 @@ import pytest
 
 from weingarten.spheregeom import (
     SphereGrid,
+    _raw_derivatives,
     covariant_gradient,
     covariant_hessian,
     geometry,
@@ -111,6 +112,19 @@ def test_hessian_of_smooth_field():
     assert np.allclose(hess[..., 1, 1], -ct * st * st, atol=5e-4)
     assert np.allclose(hess[..., 0, 1], 0.0, atol=1e-12)
     assert np.allclose(hess[..., 1, 0], hess[..., 0, 1], rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("ntheta, nphi", [(8, 16), (32, 64)])
+def test_jet_stencils_match_sliced_derivatives(ntheta, nphi):
+    # the Jacobian's stencil matrices and the sliced stencils of geometry
+    # are two definitions of one operator, pole rows and phi seam included
+    grid = SphereGrid(ntheta, nphi)
+    field = 2.0 + np.random.default_rng(ntheta).normal(size=grid.shape)
+    identity, *stencils = grid.jet_stencils
+    assert np.array_equal(identity @ field.ravel(), field.ravel())
+    for stencil, want in zip(stencils, _raw_derivatives(grid, field)):
+        got = (stencil @ field.ravel()).reshape(grid.shape)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_round_sphere_geometry():
