@@ -6,7 +6,8 @@ The coefficients here depend on |X| only, so everything has a closed
 form: the hypothesis margins, the starting sphere rho = 2.5, and the
 final surface rho = 2.  The run certifies the coefficient hypotheses,
 then walks the deformation parameter t from the round-sphere problem
-at t=0 to the target equation at t=1 with a damped Newton corrector.
+at t=0 to the target equation at t=1 with a chord Newton corrector
+(one sparse LU kept across iterations and steps).
 """
 
 import numpy as np

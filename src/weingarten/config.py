@@ -26,7 +26,6 @@ class RunConfig:
     write_csv: bool = True
     write_mesh: bool = True
     write_report: bool = True
-    seed: int = 0
     verbosity: int = 1
 
 
@@ -140,6 +139,5 @@ def load_config(path):
         write_csv=_get_bool(output, "csv", True),
         write_mesh=_get_bool(output, "mesh", True),
         write_report=_get_bool(output, "report", True),
-        seed=_get(output, "seed", int, default=0),
         verbosity=_get(output, "verbosity", int, default=1),
     )

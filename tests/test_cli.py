@@ -59,7 +59,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.problem.k == 2
     assert cfg.problem.grid.shape == (32, 64)
     assert cfg.outdir == tmp_path / "out"
-    assert cfg.seed == 0 and cfg.verbosity == 1
+    assert cfg.verbosity == 1
 
 
 def test_load_config_rejects_missing_file(tmp_path):

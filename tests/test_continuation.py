@@ -1,8 +1,9 @@
-"""Hypothesis certification, the round-sphere initializer, damped Newton,
+"""Hypothesis certification, the round-sphere initializer, chord Newton,
 and the homotopy walk to t=1 on the radial benchmark."""
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from weingarten.continuation import (
     ConeExitError,
@@ -15,7 +16,7 @@ from weingarten.continuation import (
     initial_solution,
     newton_solve,
 )
-from weingarten.curvop import ProblemSpec, SolverSettings
+from weingarten.curvop import ProblemSpec, SolverSettings, jacobian
 from weingarten.spheregeom import SphereGrid
 
 ALPHA0 = "(0.6 - 0.05*rho)/rho^2"
@@ -25,6 +26,7 @@ PROFILE = "2.5/rho"
 REPORT_KEYS = (
     "t",
     "newton_iters",
+    "factorizations",
     "residual_inf",
     "rho_min",
     "rho_max",
@@ -146,6 +148,26 @@ def test_newton_converges_at_final_time():
     assert np.abs(result.rho - 2.0).max() < 1e-6
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["stale", "reversed"])
+def test_newton_drops_a_stale_factorization(sign):
+    # the LU of the round sphere 2.5 at t=0 is far from the Jacobian at the
+    # t=1 solution, and its negation points uphill; Newton must refactorize
+    # instead of giving up
+    spec = benchmark_spec()
+    sphere = np.full(spec.grid.shape, 2.5)
+    stale = splu(sign * jacobian(spec, sphere, 0.0).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    start = np.full(spec.grid.shape, 2.2)
+    result = newton_solve(spec, start, 1.0, lu=stale)
+    assert result.converged
+    assert result.factorizations >= 1
+    assert np.abs(result.rho - 2.0).max() < 1e-6
+    norms = result.residual_norms
+    assert all(b < a for a, b in zip(norms, norms[1:]))
+    if sign < 0:
+        # the rejected chord trial leaves no trace
+        assert norms == newton_solve(spec, start, 1.0).residual_norms
+
+
 def test_newton_reports_nonconvergence_without_raising():
     spec = benchmark_spec(solver=SolverSettings(newton_max_iter=1))
     result = newton_solve(spec, np.full(spec.grid.shape, 3.2), 1.0)
@@ -186,6 +208,16 @@ def test_continuation_walks_benchmark_to_t1():
         assert row["sigma1_min"] > 0.0
         assert row["sigma2_min"] > 0.0
         assert row["residual_inf"] <= 1e-9
+
+
+def test_continuation_reuses_factorizations():
+    rho, report = continue_to_one(benchmark_spec())
+    factorizations = sum(step.factorizations for step in report.steps)
+    iterations = sum(step.newton_iters for step in report.steps)
+    assert 0 < factorizations < iterations
+    for step in report.steps:
+        norms = step.newton_residual_norms
+        assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
 def test_continuation_is_deterministic_apart_from_timing():
