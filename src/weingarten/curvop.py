@@ -143,8 +143,8 @@ def residual(spec, geom, t):
     for j in range(1, spec.k):
         sig_j = _sigma_fields(kappa, j)
         if np.any(sig_j <= 0.0):
-            bad = np.argwhere(sig_j <= 0.0)[0]
-            raise AdmissibilityError(tuple(bad), j)
+            bad = tuple(np.argwhere(sig_j <= 0.0)[0].tolist())
+            raise AdmissibilityError(bad, j)
 
     denom = _sigma_fields(kappa, spec.k - 1)
     env = geom.grid.node_env(geom.rho)
@@ -154,8 +154,8 @@ def residual(spec, geom, t):
         out = out - t * coeff * _sigma_fields(kappa, l) / denom
     out = out - alpha_blend(spec, env, t)
     if not np.all(np.isfinite(out)):
-        bad = np.argwhere(~np.isfinite(out))[0]
-        raise FloatingPointError(f"non-finite residual at node {tuple(bad)}")
+        bad = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
+        raise FloatingPointError(f"non-finite residual at node {bad}")
     return out
 
 

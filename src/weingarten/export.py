@@ -4,6 +4,10 @@ The CSV layout is theta, phi, rho with one row per node in theta-major
 order, values printed with 17 significant digits so a write/read round
 trip is bit-lossless.  The OBJ mesh closes the two polar holes with fans
 around ring-averaged pole vertices, giving a watertight genus-0 surface.
+
+Both writers format whole arrays at once, one line template repeated per
+row, vertex or face; the reader parses the CSV body with numpy's C text
+parser, which rounds like ``float()``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,11 @@ __all__ = [
     "write_hypothesis_report",
 ]
 
-#: 17 significant digits round-trip IEEE doubles exactly
-FLOAT_FORMAT = "%.17g"
+#: one line per row, vertex or face; 17 significant digits round-trip
+#: IEEE doubles exactly
+CSV_ROW = "%.17g,%.17g,%.17g\n"
+OBJ_VERTEX = "v %.17g %.17g %.17g\n"
+OBJ_FACE = "f %d %d %d\n"
 
 
 class SolutionFormatError(ValueError):
@@ -34,36 +41,49 @@ class SolutionFormatError(ValueError):
 
 def write_solution_csv(path, grid, rho):
     rho = grid.check_field(rho)
-    lines = ["theta,phi,rho"]
-    for i in range(grid.ntheta):
-        theta = FLOAT_FORMAT % grid.theta[i]
-        for j in range(grid.nphi):
-            lines.append(
-                f"{theta},{FLOAT_FORMAT % grid.phi[j]},{FLOAT_FORMAT % rho[i, j]}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = np.column_stack(
+        [
+            np.repeat(grid.theta, grid.nphi),
+            np.tile(grid.phi, grid.ntheta),
+            rho.ravel(),
+        ]
+    )
+    body = (CSV_ROW * grid.size) % tuple(rows.ravel().tolist())
+    Path(path).write_text("theta,phi,rho\n" + body, encoding="utf-8")
 
 
 def read_solution_csv(path):
     """Read a solution CSV back into (grid, rho).
 
     The node lattice must match a staggered grid exactly (up to the
-    print precision); anything else raises SolutionFormatError.
+    print precision) and every value must be finite; anything else,
+    including a file that is not UTF-8, raises SolutionFormatError.
     """
     path = Path(path)
     if not path.is_file():
         raise SolutionFormatError(f"no such solution file: {path}")
-    text = path.read_text(encoding="utf-8").strip().splitlines()
+    try:
+        text = path.read_text(encoding="utf-8").strip().splitlines()
+    except UnicodeDecodeError as err:
+        raise SolutionFormatError(f"{path} is not UTF-8 text: {err}") from err
     if not text or text[0].strip().lower() != "theta,phi,rho":
         raise SolutionFormatError("expected header 'theta,phi,rho'")
+    body = text[1:]
+    if not body:
+        raise SolutionFormatError("expected rows of theta,phi,rho")
     try:
-        data = np.array(
-            [[float(v) for v in line.split(",")] for line in text[1:]], dtype=float
-        )
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError as err:
         raise SolutionFormatError(f"bad row in {path}: {err}") from err
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] == 0:
+    # loadtxt skips blank lines, which are malformed rows here
+    if data.shape != (len(body), 3):
         raise SolutionFormatError("expected rows of theta,phi,rho")
+    finite = np.isfinite(data)
+    if not finite.all():
+        row = int(np.argwhere(~finite)[0][0])
+        raise SolutionFormatError(
+            f"non-finite value in {path}, row {row + 1}: {body[row]!r}"
+        )
 
     thetas = np.unique(data[:, 0])
     phis = np.unique(data[:, 1])
@@ -100,36 +120,28 @@ def write_obj(path, grid, rho):
     rho = grid.check_field(rho)
     d1, d2, d3 = grid.directions()
     xyz = np.stack([rho * d1, rho * d2, rho * d3], axis=-1)
+    verts = np.concatenate(
+        [xyz.reshape(-1, 3), xyz[0].mean(axis=0)[None], xyz[-1].mean(axis=0)[None]]
+    )
 
-    nt, npj = grid.ntheta, grid.nphi
-    lines = []
-    for i in range(nt):
-        for j in range(npj):
-            x, y, z = xyz[i, j]
-            lines.append(
-                f"v {FLOAT_FORMAT % x} {FLOAT_FORMAT % y} {FLOAT_FORMAT % z}"
-            )
-    north = xyz[0].mean(axis=0)
-    south = xyz[-1].mean(axis=0)
-    lines.append(f"v {FLOAT_FORMAT % north[0]} {FLOAT_FORMAT % north[1]} {FLOAT_FORMAT % north[2]}")
-    lines.append(f"v {FLOAT_FORMAT % south[0]} {FLOAT_FORMAT % south[1]} {FLOAT_FORMAT % south[2]}")
+    # 1-based vertex ids; `nxt` is the neighbour one step on in phi
+    ids = np.arange(1, grid.size + 1).reshape(grid.shape)
+    nxt = np.roll(ids, -1, axis=1)
+    north = np.full(grid.nphi, grid.size + 1)
+    south = np.full(grid.nphi, grid.size + 2)
+    a, b, c, d = ids[:-1], ids[1:], nxt[1:], nxt[:-1]
+    band = np.stack([a, b, c, a, c, d], axis=-1)  # two triangles per quad
+    faces = np.concatenate(
+        [
+            np.stack([north, ids[0], nxt[0]], axis=-1),
+            band.reshape(-1, 3),
+            np.stack([south, nxt[-1], ids[-1]], axis=-1),
+        ]
+    )
 
-    def vid(i, j):
-        return i * npj + (j % npj) + 1
-
-    north_id = nt * npj + 1
-    south_id = nt * npj + 2
-    for j in range(npj):
-        lines.append(f"f {north_id} {vid(0, j)} {vid(0, j + 1)}")
-    for i in range(nt - 1):
-        for j in range(npj):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    for j in range(npj):
-        lines.append(f"f {south_id} {vid(nt - 1, j + 1)} {vid(nt - 1, j)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write((OBJ_VERTEX * len(verts)) % tuple(verts.ravel().tolist()))
+        fh.write((OBJ_FACE * len(faces)) % tuple(faces.ravel().tolist()))
 
 
 def write_solve_report(path, report):

@@ -308,8 +308,8 @@ def local_geometry(grid, rho, jets):
     kappa = np.stack([half_trace - radius, half_trace + radius], axis=-1)
 
     if not np.all(np.isfinite(kappa)):
-        bad = np.argwhere(~np.isfinite(kappa))[0][:2]
-        raise FloatingPointError(f"non-finite curvature at node {tuple(bad)}")
+        bad = tuple(np.argwhere(~np.isfinite(kappa))[0][:2].tolist())
+        raise FloatingPointError(f"non-finite curvature at node {bad}")
 
     return GeometryState(
         grid=grid,
@@ -327,6 +327,6 @@ def geometry(grid, rho):
     """Full extrinsic geometry of the radial graph rho over the grid."""
     rho = grid.check_field(rho)
     if np.any(rho <= 0.0):
-        bad = np.argwhere(rho <= 0.0)[0]
-        raise ValueError(f"rho must be positive, violated at node {tuple(bad)}")
+        bad = tuple(np.argwhere(rho <= 0.0)[0].tolist())
+        raise ValueError(f"rho must be positive, violated at node {bad}")
     return local_geometry(grid, rho, _raw_derivatives(grid, rho))

@@ -8,7 +8,7 @@ import pytest
 
 from weingarten import cli, spheregeom
 from weingarten.config import ConfigError, load_config
-from weingarten.export import read_solution_csv
+from weingarten.export import read_solution_csv, write_solution_csv
 
 BENCHMARK = """\
 [problem]
@@ -199,6 +199,27 @@ def test_verify_missing_solution_is_bad_input(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     code = cli.main(["verify", str(tmp_path / "nope.csv"), str(cfg)])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+@pytest.mark.parametrize("bad_value", ["not-utf8", "nan", "inf"])
+def test_unusable_solution_file_is_bad_input(tmp_path, capsys, command, bad_value):
+    cfg = write_cfg(tmp_path)
+    solution = tmp_path / "solution.csv"
+    grid = spheregeom.SphereGrid(8, 16)
+    write_solution_csv(solution, grid, np.full(grid.shape, 2.0))
+    if bad_value == "not-utf8":
+        solution.write_bytes(b"theta,phi,rho\n\xff\xfe,1,2\n")
+    else:
+        lines = solution.read_text().splitlines()
+        lines[40] = lines[40].rsplit(",", 1)[0] + "," + bad_value
+        solution.write_text("\n".join(lines) + "\n")
+    argv = [command, str(solution), str(cfg)]
+    if command == "export":
+        argv += ["--format", "obj"]
+    assert cli.main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "solution_export.obj").exists()
 
 
 def test_export_to_obj_and_back_to_csv(tmp_path, capsys):

@@ -124,6 +124,36 @@ def test_residual_rejects_inadmissible_field():
     assert exc.value.node is not None
 
 
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("nonpositive", ValueError),  # rho must be positive
+        ("infinite", FloatingPointError),  # non-finite curvature
+        ("inadmissible", AdmissibilityError),
+        ("overflow", FloatingPointError),  # non-finite residual
+    ],
+)
+def test_bad_field_errors_name_the_node_as_plain_ints(case, error):
+    spec = benchmark_spec()
+    th = spec.grid.theta[:, None]
+    ph = spec.grid.phi[None, :]
+    rho = np.full(spec.grid.shape, 2.0)
+    if case == "nonpositive":
+        rho[2, 5] = -1.0
+    elif case == "infinite":
+        rho[2, 5] = np.inf
+    elif case == "inadmissible":
+        rho = 2.0 + 1.5 * np.cos(th) * np.sin(th) * np.cos(2 * ph)
+    else:
+        spec = ProblemSpec(
+            k=2, n=2, r1=1.0, r2=4.0, alphas=("1.5e308", ALPHA1), phi=PROFILE,
+            grid=spec.grid,
+        )
+        rho = np.full(spec.grid.shape, 3.0)
+    with np.errstate(all="ignore"), pytest.raises(error, match=r"at node \(\d+, \d+\)"):
+        residual_field(spec, rho, 1.0)
+
+
 def test_jacobian_constant_direction_matches_radial_slope_on_fine_grid():
     # J @ 1 is the derivative along the family of round spheres; on 64x128
     # the pole rows hold stencil weights near 6e4 that must cancel exactly

@@ -2,6 +2,7 @@
 and JSON reports."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,92 @@ def test_csv_rejects_truncated_file(tmp_path):
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(SolutionFormatError):
         read_solution_csv(path)
+
+
+def _replace_rho(lines, value):
+    theta, phi, _ = lines[5].split(",")
+    return lines[:5] + [f"{theta},{phi},{value}"] + lines[6:]
+
+
+MALFORMED = {
+    "blank-line": lambda lines: lines[:5] + [""] + lines[5:],
+    "comment-line": lambda lines: lines[:5] + ["# note"] + lines[5:],
+    "non-numeric": lambda lines: _replace_rho(lines, "abc"),
+    "two-fields": lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:],
+    "trailing-comma": lambda lines: lines[:5] + [lines[5] + ","] + lines[6:],
+    "four-columns": lambda lines: lines[:1] + [line + ",0" for line in lines[1:]],
+    "header-only": lambda lines: lines[:1],
+    "nan": lambda lines: _replace_rho(lines, "nan"),
+    "inf": lambda lines: _replace_rho(lines, "inf"),
+    "minus-inf": lambda lines: _replace_rho(lines, "-inf"),
+    "overflow": lambda lines: _replace_rho(lines, "1e400"),
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED, "not-utf8"])
+def test_csv_rejects_malformed_rows_without_warning(tmp_path, case):
+    grid = SphereGrid(8, 16)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, grid, np.full(grid.shape, 2.0))
+    if case == "not-utf8":
+        path.write_bytes(b"theta,phi,rho\n\xff\xfe,1,2\n")
+    else:
+        lines = path.read_text().strip().splitlines()
+        path.write_text("\n".join(MALFORMED[case](lines)) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SolutionFormatError):
+            read_solution_csv(path)
+    assert caught == []
+
+
+def reference_csv(grid, rho):
+    """The writer's layout, one formatted line per node."""
+    lines = ["theta,phi,rho"]
+    for i in range(grid.ntheta):
+        for j in range(grid.nphi):
+            lines.append(f"{grid.theta[i]:.17g},{grid.phi[j]:.17g},{rho[i, j]:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_obj(grid, rho):
+    """The mesh layout, one formatted line per vertex and per face."""
+    d1, d2, d3 = grid.directions()
+    xyz = np.stack([rho * d1, rho * d2, rho * d3], axis=-1)
+    nt, npj = grid.shape
+    points = [xyz[i, j] for i in range(nt) for j in range(npj)]
+    points += [xyz[0].mean(axis=0), xyz[-1].mean(axis=0)]
+    lines = [f"v {x:.17g} {y:.17g} {z:.17g}" for x, y, z in points]
+
+    def vid(i, j):
+        return i * npj + (j % npj) + 1
+
+    north, south = nt * npj + 1, nt * npj + 2
+    for j in range(npj):
+        lines.append(f"f {north} {vid(0, j)} {vid(0, j + 1)}")
+    for i in range(nt - 1):
+        for j in range(npj):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            lines.append(f"f {a} {b} {c}")
+            lines.append(f"f {a} {c} {d}")
+    for j in range(npj):
+        lines.append(f"f {south} {vid(nt - 1, j + 1)} {vid(nt - 1, j)}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (6, 12)], ids=["8x16", "6x12"])
+@pytest.mark.parametrize(
+    "write, reference",
+    [(write_solution_csv, reference_csv), (write_obj, reference_obj)],
+    ids=["csv", "obj"],
+)
+def test_writers_match_line_by_line_reference(tmp_path, write, reference, shape):
+    grid = SphereGrid(*shape)
+    rho = bumpy_field(grid)
+    path = tmp_path / "out"
+    write(path, grid, rho)
+    assert path.read_bytes() == reference(grid, rho).encode("utf-8")
 
 
 def parse_obj(path):
