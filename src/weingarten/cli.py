@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 hypothesis or verification failure, 2 unusable
 input (missing files, malformed config or solution), 3 continuation
-failure.  The only recognized environment variable is WEINGARTEN_THREADS,
-which caps the linear-algebra thread pools.
+failure.  No environment variable is read: to cap the BLAS thread pools,
+export OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the process starts.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .continuation import (
     HypothesisError,
     check_hypotheses,
     continue_to_one,
+    monitors,
 )
 from .curvop import AdmissibilityError, residual_field
 from .export import (
@@ -38,13 +39,6 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_STALLED = 3
-
-
-def _apply_thread_env():
-    threads = os.environ.get("WEINGARTEN_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
 
 
 def _progress_printer(verbosity):
@@ -127,25 +121,12 @@ def cmd_verify(args):
         )
         return EXIT_BAD_INPUT
 
-    failures = []
     try:
         geom = geometry(spec.grid, rho)
     except (ValueError, FloatingPointError) as err:
         print(f"verification failed: {err}")
         return EXIT_FAILED
-
-    if not (rho.min() > spec.r1 and rho.max() < spec.r2):
-        failures.append(
-            f"barrier: rho range [{rho.min():.6g}, {rho.max():.6g}] "
-            f"not inside ({spec.r1:g}, {spec.r2:g})"
-        )
-    support_min = float(geom.support.min())
-    if support_min <= 0.0:
-        failures.append(f"support: min <X, nu> = {support_min:.6g} <= 0")
-    sigma1 = geom.kappa[..., 0] + geom.kappa[..., 1]
-    sigma2 = geom.kappa[..., 0] * geom.kappa[..., 1]
-    if sigma1.min() <= 0.0:
-        failures.append(f"cone: min sigma_1(kappa) = {sigma1.min():.6g} <= 0")
+    values, failures = monitors(spec, geom)
 
     tol = 10.0 * spec.solver.newton_tol
     try:
@@ -157,9 +138,9 @@ def cmd_verify(args):
         res_inf = float("nan")
 
     print(
-        f"residual_inf={res_inf:.3e}  rho=[{rho.min():.8f}, {rho.max():.8f}]  "
-        f"support_min={support_min:.6f}  sigma1_min={sigma1.min():.6f}  "
-        f"sigma2_min={sigma2.min():.6f}"
+        "residual_inf={res_inf:.3e}  rho=[{rho_min:.8f}, {rho_max:.8f}]  "
+        "support_min={support_min:.6f}  sigma1_min={sigma1_min:.6f}  "
+        "sigma2_min={sigma2_min:.6f}".format(res_inf=res_inf, **values)
     )
     if failures:
         for line in failures:
@@ -186,7 +167,6 @@ def cmd_export(args):
 
 
 def main(argv=None):
-    _apply_thread_env()
     parser = argparse.ArgumentParser(
         prog="weingarten",
         description="curvature-quotient surfaces: certify, solve, verify, export",

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .curvop import AdmissibilityError, jacobian, residual_field
-from .exprlang import Binary, Const, EvalEnv, Var, evaluate
+from .exprlang import Binary, Const, EvalEnv, Var, evaluate, radial_derivative
 from .spheregeom import geometry
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "check_hypotheses",
     "initial_solution",
     "newton_solve",
+    "monitors",
     "continue_to_one",
 ]
 
@@ -223,9 +224,7 @@ def check_hypotheses(spec, samples=48):
     fd_step = min(1e-5, 0.25 * r1)
     for l, alpha in enumerate(spec.alphas):
         weighted = Binary("*", Binary("^", Var("rho"), Const(float(k - l))), alpha)
-        upper = evaluate(weighted, env_shell.along_ray(env_shell.rho + fd_step))
-        lower = evaluate(weighted, env_shell.along_ray(env_shell.rho - fd_step))
-        slope = (upper - lower) / (2.0 * fd_step)
+        slope = radial_derivative(weighted, env_shell, h=fd_step)
         margin, location = _worst(-slope, env_shell)
         if margin < worst_margin:
             worst_margin = margin
@@ -461,32 +460,45 @@ class SolveReport:
         }
 
 
+def monitors(spec, geom):
+    """A priori bounds on the surface `geom`: rho range against the barrier
+    shells (C0), min <X, nu> (C1), min sigma_1 and sigma_2 of kappa (C2)
+    and max H.  Returns these values, keyed as in the solve report, and one
+    message per violated barrier, support or sigma_1 condition."""
+    kappa = geom.kappa
+    values = {
+        "rho_min": float(geom.rho.min()),
+        "rho_max": float(geom.rho.max()),
+        "support_min": float(geom.support.min()),
+        "sigma1_min": float((kappa[..., 0] + kappa[..., 1]).min()),
+        "sigma2_min": float((kappa[..., 0] * kappa[..., 1]).min()),
+        "H_max": float(geom.mean_curvature.max()),
+    }
+    violations = []
+    if not (values["rho_min"] > spec.r1 and values["rho_max"] < spec.r2):
+        violations.append(
+            f"barrier: rho range [{values['rho_min']:.6g}, {values['rho_max']:.6g}] "
+            f"not inside ({spec.r1:g}, {spec.r2:g})"
+        )
+    if values["support_min"] <= 0.0:
+        violations.append(f"support: min <X, nu> = {values['support_min']:.6g} <= 0")
+    if values["sigma1_min"] <= 0.0:
+        violations.append(f"cone: min sigma_1(kappa) = {values['sigma1_min']:.6g} <= 0")
+    return values, violations
+
+
 def _record_step(spec, rho, t, newton, wall_ms):
-    geom = geometry(spec.grid, rho)
-    sigma1 = geom.kappa[..., 0] + geom.kappa[..., 1]
-    sigma2 = geom.kappa[..., 0] * geom.kappa[..., 1]
-    warnings = []
-    if not (rho.min() > spec.r1 and rho.max() < spec.r2):
-        warnings.append("barrier: rho left (r1, r2)")
-    if geom.support.min() <= 0.0:
-        warnings.append("support: <X, nu> not positive")
-    if sigma1.min() <= 0.0:
-        warnings.append("cone: sigma_1(kappa) not positive")
+    values, violations = monitors(spec, geometry(spec.grid, rho))
     return SolveStep(
         t=t,
         newton_iters=newton.iterations,
         factorizations=newton.factorizations,
         residual_inf=newton.residual_norms[-1],
-        rho_min=float(rho.min()),
-        rho_max=float(rho.max()),
-        support_min=float(geom.support.min()),
-        sigma1_min=float(sigma1.min()),
-        sigma2_min=float(sigma2.min()),
-        H_max=float(geom.mean_curvature.max()),
         wall_ms=wall_ms,
-        in_gamma_k=bool(sigma2.min() > 0.0),
-        monitor_warnings=warnings,
+        in_gamma_k=values["sigma2_min"] > 0.0,
+        monitor_warnings=violations,
         newton_residual_norms=list(newton.residual_norms),
+        **values,
     )
 
 

@@ -124,34 +124,24 @@ def alpha_blend(spec, env, t):
     return t * target + (1.0 - t) * source
 
 
-def _sigma_fields(kappa, j):
-    """sigma_j of the nodal curvature pair, vectorized (n=2)."""
-    if j == 0:
-        return np.ones(kappa.shape[:-1])
-    if j == 1:
-        return kappa[..., 0] + kappa[..., 1]
-    return kappa[..., 0] * kappa[..., 1]
-
-
 def residual(spec, geom, t):
-    """Per-node residual of the deformed equation at homotopy time t.
+    """Per-node residual of the deformed equation at homotopy time t, for
+    k = n = 2 (the only case ProblemSpec accepts):
 
-    Requires kappa in Gamma_{k-1} at every node; raises AdmissibilityError
-    (with the offending node) otherwise.
+        sigma_2 / sigma_1 - t * alpha_0 / sigma_1 - alpha_1(X, t).
+
+    Requires kappa in Gamma_1 (sigma_1 > 0) at every node; raises
+    AdmissibilityError (with the offending node) otherwise.
     """
     kappa = geom.kappa
-    for j in range(1, spec.k):
-        sig_j = _sigma_fields(kappa, j)
-        if np.any(sig_j <= 0.0):
-            bad = tuple(np.argwhere(sig_j <= 0.0)[0].tolist())
-            raise AdmissibilityError(bad, j)
+    sigma1 = kappa[..., 0] + kappa[..., 1]
+    if np.any(sigma1 <= 0.0):
+        bad = tuple(np.argwhere(sigma1 <= 0.0)[0].tolist())
+        raise AdmissibilityError(bad, 1)
 
-    denom = _sigma_fields(kappa, spec.k - 1)
     env = geom.grid.node_env(geom.rho)
-    out = _sigma_fields(kappa, spec.k) / denom
-    for l in range(spec.k - 1):
-        coeff = evaluate(spec.alphas[l], env)
-        out = out - t * coeff * _sigma_fields(kappa, l) / denom
+    out = kappa[..., 0] * kappa[..., 1] / sigma1
+    out = out - t * evaluate(spec.alphas[0], env) / sigma1
     out = out - alpha_blend(spec, env, t)
     if not np.all(np.isfinite(out)):
         bad = tuple(np.argwhere(~np.isfinite(out))[0].tolist())

@@ -236,21 +236,9 @@ class GeometryState:
         return _sym2(*self.metric_parts)
 
     @cached_property
-    def metric_inv(self):
-        """g^ij."""
-        g_tt, g_tp, g_pp = self.metric_parts
-        det_g = g_tt * g_pp - g_tp * g_tp
-        return _sym2(g_pp / det_g, -g_tp / det_g, g_tt / det_g)
-
-    @cached_property
     def second_form(self):
         """h_ij."""
         return _sym2(*self.second_form_parts)
-
-    @cached_property
-    def shape_operator(self):
-        """h^i_j = g^ik h_kj."""
-        return self.metric_inv @ self.second_form
 
 
 def local_geometry(grid, rho, jets):

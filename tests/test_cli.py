@@ -1,7 +1,6 @@
 """Command line interface: exit codes, artifacts, and config parsing."""
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -186,6 +185,17 @@ def test_verify_rejects_tampered_solution(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_names_the_violated_barrier(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    grid = spheregeom.SphereGrid(8, 16)
+    solution = tmp_path / "outside.csv"
+    write_solution_csv(solution, grid, np.full(grid.shape, 4.4))
+    code = cli.main(["verify", str(solution), str(cfg)])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "FAIL barrier: rho range [4.4, 4.4] not inside (1, 4)" in out
+
+
 def test_verify_rejects_mismatched_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert cli.main(["solve", str(cfg)]) == 0
@@ -265,13 +275,3 @@ def test_unknown_command_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
-
-
-def test_thread_cap_env(tmp_path, monkeypatch, capsys):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("WEINGARTEN_THREADS", "2")
-    cfg = write_cfg(tmp_path)
-    assert cli.main(["check", str(cfg)]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"

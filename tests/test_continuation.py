@@ -1,6 +1,8 @@
 """Hypothesis certification, the round-sphere initializer, chord Newton,
 and the homotopy walk to t=1 on the radial benchmark."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -10,14 +12,17 @@ from weingarten.continuation import (
     ContinuationFailure,
     HypothesisError,
     InitializationError,
+    NewtonResult,
     StagnationError,
+    _record_step,
     check_hypotheses,
     continue_to_one,
     initial_solution,
+    monitors,
     newton_solve,
 )
 from weingarten.curvop import ProblemSpec, SolverSettings, jacobian
-from weingarten.spheregeom import SphereGrid
+from weingarten.spheregeom import SphereGrid, geometry
 
 ALPHA0 = "(0.6 - 0.05*rho)/rho^2"
 ALPHA1 = "0.25/rho"
@@ -268,3 +273,26 @@ def test_solve_report_serializes():
     assert len(data["steps"]) == len(report.steps)
     assert set(data["steps"][0]) == set(REPORT_KEYS)
     assert report.hypothesis.as_dict()["passed"] is True
+
+
+def test_monitors_name_each_violated_condition():
+    spec = benchmark_spec()
+    shape = spec.grid.shape
+    outside = geometry(spec.grid, np.full(shape, 4.4))
+    values, violations = monitors(spec, outside)
+    assert violations == ["barrier: rho range [4.4, 4.4] not inside (1, 4)"]
+    assert values["rho_min"] == values["rho_max"] == 4.4
+    assert monitors(spec, geometry(spec.grid, np.full(shape, 2.0)))[1] == []
+
+    flipped = replace(outside, support=-outside.support)
+    assert monitors(spec, flipped)[1][1] == "support: min <X, nu> = -4.4 <= 0"
+    th = spec.grid.theta[:, None]
+    dented = 2.0 - 1.5 * np.exp(-((th - 1.5) ** 2 + (spec.grid.phi - 3.0) ** 2) / 0.02)
+    _, violations = monitors(spec, geometry(spec.grid, dented))
+    assert [line.split(":")[0] for line in violations] == ["barrier", "cone"]
+
+    # the solve path reports the same messages
+    newton = NewtonResult(outside.rho, 0, [0.0], True, 0, None)
+    step = _record_step(spec, outside.rho, 1.0, newton, 0.0)
+    assert step.monitor_warnings == monitors(spec, outside)[1]
+    assert step.in_gamma_k and step.rho_min == 4.4

@@ -122,6 +122,7 @@ def test_residual_rejects_inadmissible_field():
     with pytest.raises(AdmissibilityError) as exc:
         residual_field(spec, bad, 1.0)
     assert exc.value.node is not None
+    assert exc.value.order == 1
 
 
 @pytest.mark.parametrize(
