@@ -1,5 +1,8 @@
 """Command line entry points: check, solve, verify, export.
 
+Only `solve` loads scipy, for the sparse Jacobian and its LU; `check`,
+`verify` and `export` need numpy alone and skip scipy's import time.
+
 Exit codes: 0 success, 1 hypothesis or verification failure, 2 unusable
 input (missing files, malformed config or solution), 3 continuation
 failure.  No environment variable is read: to cap the BLAS thread pools,
@@ -111,15 +114,19 @@ def cmd_solve(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
-    cfg = load_config(args.config)
-    spec = cfg.problem
-    grid, rho = read_solution_csv(args.solution)
-    if grid.shape != spec.grid.shape:
-        print(
-            f"solution grid {grid.shape} does not match config grid {spec.grid.shape}"
+def _read_solution(path, grid):
+    """The stored field at `path`, which must lie on the config's `grid`."""
+    stored, rho = read_solution_csv(path)
+    if stored.shape != grid.shape:
+        raise SolutionFormatError(
+            f"solution grid {stored.shape} does not match config grid {grid.shape}"
         )
-        return EXIT_BAD_INPUT
+    return rho
+
+
+def cmd_verify(args):
+    spec = load_config(args.config).problem
+    rho = _read_solution(args.solution, spec.grid)
 
     try:
         geom = geometry(spec.grid, rho)
@@ -151,8 +158,8 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    load_config(args.config)  # validates the config, including the grid bounds
-    grid, rho = read_solution_csv(args.solution)
+    grid = load_config(args.config).problem.grid
+    rho = _read_solution(args.solution, grid)
     out = args.output
     if out is None:
         suffix = ".obj" if args.format == "obj" else ".csv"

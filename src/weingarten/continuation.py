@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .curvop import AdmissibilityError, jacobian, residual_field
 from .exprlang import Binary, Const, EvalEnv, Var, evaluate, radial_derivative
@@ -47,6 +46,19 @@ MARGIN_SLACK = 1e-10
 # Newton keeps its LU while each step cuts the residual max-norm at least
 # by this factor; a slower step triggers a fresh Jacobian and LU.
 CONTRACTION_LIMIT = 0.5
+
+
+class _SparseLinalg:
+    """`scipy.sparse.linalg`, imported when Newton first reads from it, so
+    that only `solve` pays for loading scipy."""
+
+    def __getattr__(self, name):
+        import scipy.sparse.linalg
+
+        return getattr(scipy.sparse.linalg, name)
+
+
+spla = _SparseLinalg()
 
 
 class HypothesisError(RuntimeError):
@@ -161,14 +173,24 @@ def _band_env(radii, directions):
     return EvalEnv(rr, x1, x2, x3)
 
 
+def _location(rho, d1, d2, d3):
+    """Where a sample sits: its radius, u = cos(theta), and the polar and
+    azimuthal angles theta, phi of its unit direction (d1, d2, d3)."""
+    return {
+        "rho": float(rho),
+        "u": float(d3),
+        "theta": math.acos(max(-1.0, min(1.0, d3))),
+        "phi": math.atan2(d2, d1) % (2.0 * math.pi),
+    }
+
+
 def _worst(values, env):
     # constant expressions evaluate to scalars; spread them over the lattice
     values = np.broadcast_to(np.asarray(values, dtype=float), np.shape(env.rho))
     idx = int(np.argmin(values))
-    return float(values.ravel()[idx]), {
-        "rho": float(np.ravel(env.rho)[idx]),
-        "u": float(np.ravel(env.u)[idx]),
-    }
+    rho = float(np.ravel(env.rho)[idx])
+    direction = (float(np.ravel(x)[idx]) / rho for x in (env.x1, env.x2, env.x3))
+    return float(values.ravel()[idx]), _location(rho, *direction)
 
 
 def check_hypotheses(spec, samples=48):
@@ -268,12 +290,12 @@ def check_hypotheses(spec, samples=48):
     # sampled differences along each ray: later radius sample minus earlier
     per_ray = profile_full.reshape(band_full.size, ndir)
     drops = per_ray[:-1, :] - per_ray[1:, :]
-    idx = np.unravel_index(int(np.argmin(drops)), drops.shape)
+    i, j = np.unravel_index(int(np.argmin(drops)), drops.shape)
     entries["profile_decreasing"] = HypothesisEntry(
         "profile_decreasing",
         True,
-        float(drops[idx]),
-        {"rho": float(band_full[idx[0]]), "u": float(dirs[2][idx[1]])},
+        float(drops[i, j]),
+        _location(band_full[i], *(float(d[j]) for d in dirs)),
     )
 
     return HypothesisReport(entries)

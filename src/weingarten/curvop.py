@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import symmfunc
 from .exprlang import evaluate, parse
@@ -177,6 +176,8 @@ def jacobian(spec, rho, t):
     Every perturbed evaluation goes through `residual`, so one that leaves
     the admissible cone raises AdmissibilityError.
     """
+    from scipy.sparse import csr_matrix  # scipy loads only on the solve path
+
     grid = spec.grid
     base = geometry(grid, rho)
     jets = (base.rho,) + base.jets
@@ -195,7 +196,7 @@ def jacobian(spec, rho, t):
         ) / (plus - minus)
         data += partial.reshape(-1, 1) * stencil.data.reshape(grid.size, -1)
     pattern = stencils[0]
-    return sp.csr_matrix((data.ravel(), pattern.indices, pattern.indptr), shape=pattern.shape)
+    return csr_matrix((data.ravel(), pattern.indices, pattern.indptr), shape=pattern.shape)
 
 
 def _g_diagonal_derivative(lam, alphas, k):

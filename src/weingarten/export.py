@@ -5,8 +5,10 @@ order, values printed with 17 significant digits so a write/read round
 trip is bit-lossless.  The OBJ mesh closes the two polar holes with fans
 around ring-averaged pole vertices, giving a watertight genus-0 surface.
 
-Both writers format whole arrays at once, one line template repeated per
-row, vertex or face; the reader parses the CSV body with numpy's C text
+Both writers format whole arrays at once through one template.  The OBJ
+template is a line repeated per vertex or face; the CSV template already
+holds each ring's theta and each phi, formatted once, so only rho is
+formatted per node.  The reader parses the CSV body with numpy's C text
 parser, which rounds like ``float()``.
 """
 
@@ -28,9 +30,8 @@ __all__ = [
     "write_hypothesis_report",
 ]
 
-#: one line per row, vertex or face; 17 significant digits round-trip
-#: IEEE doubles exactly
-CSV_ROW = "%.17g,%.17g,%.17g\n"
+#: 17 significant digits round-trip IEEE doubles exactly
+NUMBER = "%.17g"
 OBJ_VERTEX = "v %.17g %.17g %.17g\n"
 OBJ_FACE = "f %d %d %d\n"
 
@@ -41,14 +42,11 @@ class SolutionFormatError(ValueError):
 
 def write_solution_csv(path, grid, rho):
     rho = grid.check_field(rho)
-    rows = np.column_stack(
-        [
-            np.repeat(grid.theta, grid.nphi),
-            np.tile(grid.phi, grid.ntheta),
-            rho.ravel(),
-        ]
-    )
-    body = (CSV_ROW * grid.size) % tuple(rows.ravel().tolist())
+    # "theta,phi,%.17g\n" per node, with theta and phi already formatted
+    ring = [f"{NUMBER % phi},{NUMBER}\n" for phi in grid.phi.tolist()]
+    leads = [f"{NUMBER % theta}," for theta in grid.theta.tolist()]
+    template = "".join(lead + lead.join(ring) for lead in leads)
+    body = template % tuple(rho.ravel().tolist())
     Path(path).write_text("theta,phi,rho\n" + body, encoding="utf-8")
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .exprlang import EvalEnv
 
@@ -127,6 +126,8 @@ def _raw_derivatives(grid, field):
 
 
 def _jet_stencils(grid):
+    from scipy.sparse import csr_matrix  # scipy loads only on the solve path
+
     nt, npj = grid.shape
     dt, dp = grid.dtheta, grid.dphi
     index = grid.pad(np.arange(grid.size, dtype=float).reshape(grid.shape))

@@ -1,10 +1,15 @@
 """Command line interface: exit codes, artifacts, and config parsing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weingarten
 from weingarten import cli, spheregeom
 from weingarten.config import ConfigError, load_config
 from weingarten.export import read_solution_csv, write_solution_csv
@@ -196,13 +201,34 @@ def test_verify_names_the_violated_barrier(tmp_path, capsys):
     assert "FAIL barrier: rho range [4.4, 4.4] not inside (1, 4)" in out
 
 
+MISMATCH = "error: solution grid (8, 16) does not match config grid (16, 32)\n"
+
+
 def test_verify_rejects_mismatched_grid(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert cli.main(["solve", str(cfg)]) == 0
     solution = tmp_path / "out" / "solution.csv"
     bigger = write_cfg(tmp_path, name="big.cfg", ntheta=16, nphi=32)
+    capsys.readouterr()
     code = cli.main(["verify", str(solution), str(bigger)])
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == MISMATCH
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("fmt", ["obj", "csv"])
+def test_export_rejects_mismatched_grid(tmp_path, capsys, fmt):
+    grid = spheregeom.SphereGrid(8, 16)
+    solution = tmp_path / "solution.csv"
+    write_solution_csv(solution, grid, np.full(grid.shape, 2.0))
+    bigger = write_cfg(tmp_path, name="big.cfg", ntheta=16, nphi=32)
+    code = cli.main(["export", str(solution), str(bigger), "--format", fmt])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == MISMATCH
+    assert captured.out == ""
+    assert not (tmp_path / f"solution_export.{fmt}").exists()
 
 
 def test_verify_missing_solution_is_bad_input(tmp_path, capsys):
@@ -269,6 +295,37 @@ def test_check_verify_export_never_build_jacobian_stencils(tmp_path, monkeypatch
     assert cli.main(["verify", str(solution), str(cfg)]) == 0
     assert cli.main(["export", str(solution), str(cfg), "--format", "obj"]) == 0
     assert cli.main(["export", str(solution), str(cfg), "--format", "csv"]) == 0
+
+
+def test_check_verify_export_never_import_scipy(tmp_path):
+    # only solve builds a sparse matrix; the other commands must start
+    # without paying for scipy's import
+    cfg = write_cfg(tmp_path)
+    grid = spheregeom.SphereGrid(8, 16)
+    solution = tmp_path / "solution.csv"
+    write_solution_csv(solution, grid, np.full(grid.shape, 2.0))
+    runs = [
+        ["check", str(cfg)],
+        ["verify", str(solution), str(cfg)],
+        ["export", str(solution), str(cfg), "--format", "obj"],
+        ["export", str(solution), str(cfg), "--format", "csv"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from weingarten import cli\n"
+        f"codes = [cli.main(argv) for argv in {runs!r}]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(weingarten.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env,
+        capture_output=True, text=True, check=True,
+    )
+    codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert scipy_modules == []
 
 
 def test_unknown_command_exits_with_usage_error(capsys):

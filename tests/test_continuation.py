@@ -1,12 +1,14 @@
 """Hypothesis certification, the round-sphere initializer, chord Newton,
 and the homotopy walk to t=1 on the radial benchmark."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
+from weingarten import continuation
 from weingarten.continuation import (
     ConeExitError,
     ContinuationFailure,
@@ -83,6 +85,23 @@ def test_hypothesis_margins_match_closed_forms():
     assert abs(inner.margin - 0.05) < 1e-10
     # alpha_0 at rho=4: (0.6 - 0.2)/16
     assert abs(report.entries["alpha_positive"].margin - 0.025) < 1e-12
+
+
+def test_hypothesis_location_names_the_direction_of_an_off_axis_minimum():
+    # the tilt makes alpha_0 least along (1, 1, 0.1): on the direction
+    # lattice that is theta = 5 pi/12, phi = pi/4, at the outer radius
+    tilted = ALPHA0 + " - 0.001*(x1 + x2 + 0.1*x3)/rho"
+    report = check_hypotheses(benchmark_spec(alpha0=tilted))
+    entry = report.entries["alpha_positive"]
+    assert entry.location["l"] == 0
+    assert entry.location["rho"] == 4.0
+    assert entry.location["theta"] == pytest.approx(5.0 * math.pi / 12.0, abs=1e-12)
+    assert entry.location["phi"] == pytest.approx(math.pi / 4.0, abs=1e-12)
+    assert entry.location["u"] == pytest.approx(math.cos(entry.location["theta"]), abs=1e-12)
+    for check in report.entries.values():
+        assert {"rho", "u", "theta", "phi"} <= set(check.location)
+        assert 0.0 <= check.location["theta"] <= math.pi
+        assert 0.0 <= check.location["phi"] < 2.0 * math.pi
 
 
 def test_hypotheses_fail_when_top_coefficient_is_too_large():
@@ -223,6 +242,22 @@ def test_continuation_reuses_factorizations():
     for step in report.steps:
         norms = step.newton_residual_norms
         assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+def test_newton_factorizes_through_the_spla_binding(monkeypatch):
+    # the per-layer tracer counts LUs by wrapping `continuation.spla`, so
+    # every factorization must be looked up there at call time
+    calls = []
+
+    class CountingLinalg:
+        def splu(self, *args, **kwargs):
+            calls.append(1)
+            return splu(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "spla", CountingLinalg())
+    rho, report = continue_to_one(benchmark_spec())
+    assert report.reached_t1
+    assert len(calls) == sum(step.factorizations for step in report.steps) > 0
 
 
 def test_continuation_is_deterministic_apart_from_timing():
