@@ -128,12 +128,12 @@ def cmd_verify(args):
     spec = load_config(args.config).problem
     rho = _read_solution(args.solution, spec.grid)
 
+    # the geometry dies with the monitors, before residual_field builds its own
     try:
-        geom = geometry(spec.grid, rho)
+        values, failures = monitors(spec, geometry(spec.grid, rho))
     except (ValueError, FloatingPointError) as err:
         print(f"verification failed: {err}")
         return EXIT_FAILED
-    values, failures = monitors(spec, geom)
 
     tol = 10.0 * spec.solver.newton_tol
     try:

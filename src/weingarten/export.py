@@ -5,15 +5,18 @@ order, values printed with 17 significant digits so a write/read round
 trip is bit-lossless.  The OBJ mesh closes the two polar holes with fans
 around ring-averaged pole vertices, giving a watertight genus-0 surface.
 
-Both writers format whole arrays at once through one template.  The OBJ
-template is a line repeated per vertex or face; the CSV template already
-holds each ring's theta and each phi, formatted once, so only rho is
-formatted per node.  The reader parses the CSV body with numpy's C text
+Both writers work one theta ring at a time, so memory stays at a few
+rings of text plus a few grid-sized arrays whatever the grid.  Each ring
+is formatted in one step through a template: the OBJ templates are a
+line repeated per vertex or face of the ring; the CSV template holds the
+ring's theta and each phi, formatted once, so only rho is formatted per
+node.  The reader streams the CSV body line by line into numpy's C text
 parser, which rounds like ``float()``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -44,43 +47,62 @@ def write_solution_csv(path, grid, rho):
     rho = grid.check_field(rho)
     # "theta,phi,%.17g\n" per node, with theta and phi already formatted
     ring = [f"{NUMBER % phi},{NUMBER}\n" for phi in grid.phi.tolist()]
-    leads = [f"{NUMBER % theta}," for theta in grid.theta.tolist()]
-    template = "".join(lead + lead.join(ring) for lead in leads)
-    body = template % tuple(rho.ravel().tolist())
-    Path(path).write_text("theta,phi,rho\n" + body, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("theta,phi,rho\n")
+        for theta, row in zip(grid.theta.tolist(), rho):
+            lead = f"{NUMBER % theta},"
+            fh.write((lead + lead.join(ring)) % tuple(row.tolist()))
+
+
+def _rows(lines):
+    """The lines left in `lines`; whitespace-only lines may only trail."""
+    blank = False
+    for line in lines:
+        if line.isspace():
+            blank = True
+        elif blank:
+            raise SolutionFormatError("blank line among the rows")
+        else:
+            yield line
 
 
 def read_solution_csv(path):
     """Read a solution CSV back into (grid, rho).
 
-    The node lattice must match a staggered grid exactly (up to the
-    print precision) and every value must be finite; anything else,
-    including a file that is not UTF-8, raises SolutionFormatError.
+    Blank lines may come before the header and after the last row, but
+    not between rows.  The node lattice must match a staggered grid
+    exactly (up to the print precision) and every value must be finite;
+    anything else, including a file that is not UTF-8, raises
+    SolutionFormatError.
     """
     path = Path(path)
     if not path.is_file():
         raise SolutionFormatError(f"no such solution file: {path}")
     try:
-        text = path.read_text(encoding="utf-8").strip().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            header = next((line for line in fh if not line.isspace()), "")
+            if header.strip().lower() != "theta,phi,rho":
+                raise SolutionFormatError("expected header 'theta,phi,rho'")
+            rows = _rows(fh)
+            first = next(rows, None)
+            if first is None:
+                raise SolutionFormatError("expected rows of theta,phi,rho")
+            data = np.loadtxt(
+                itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2
+            )
     except UnicodeDecodeError as err:
         raise SolutionFormatError(f"{path} is not UTF-8 text: {err}") from err
-    if not text or text[0].strip().lower() != "theta,phi,rho":
-        raise SolutionFormatError("expected header 'theta,phi,rho'")
-    body = text[1:]
-    if not body:
-        raise SolutionFormatError("expected rows of theta,phi,rho")
-    try:
-        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except SolutionFormatError:
+        raise
     except ValueError as err:
         raise SolutionFormatError(f"bad row in {path}: {err}") from err
-    # loadtxt skips blank lines, which are malformed rows here
-    if data.shape != (len(body), 3):
+    if data.shape[1] != 3:
         raise SolutionFormatError("expected rows of theta,phi,rho")
     finite = np.isfinite(data)
     if not finite.all():
         row = int(np.argwhere(~finite)[0][0])
         raise SolutionFormatError(
-            f"non-finite value in {path}, row {row + 1}: {body[row]!r}"
+            f"non-finite value in {path}, row {row + 1}: theta,phi,rho = {data[row].tolist()}"
         )
 
     thetas = np.unique(data[:, 0])
@@ -105,7 +127,8 @@ def read_solution_csv(path):
         and np.allclose(data[:, 1], expect_phi, rtol=0, atol=1e-12)
     ):
         raise SolutionFormatError("rows are not in theta-major order")
-    return grid, data[:, 2].reshape(ntheta, nphi)
+    # a copy, so that the parsed table is freed on return
+    return grid, data[:, 2].copy().reshape(ntheta, nphi)
 
 
 def write_obj(path, grid, rho):
@@ -116,30 +139,35 @@ def write_obj(path, grid, rho):
     fans, all faces oriented outward.
     """
     rho = grid.check_field(rho)
+    nt, nphi = grid.shape
     d1, d2, d3 = grid.directions()
-    xyz = np.stack([rho * d1, rho * d2, rho * d3], axis=-1)
-    verts = np.concatenate(
-        [xyz.reshape(-1, 3), xyz[0].mean(axis=0)[None], xyz[-1].mean(axis=0)[None]]
-    )
 
-    # 1-based vertex ids; `nxt` is the neighbour one step on in phi
-    ids = np.arange(1, grid.size + 1).reshape(grid.shape)
-    nxt = np.roll(ids, -1, axis=1)
-    north = np.full(grid.nphi, grid.size + 1)
-    south = np.full(grid.nphi, grid.size + 2)
-    a, b, c, d = ids[:-1], ids[1:], nxt[1:], nxt[:-1]
-    band = np.stack([a, b, c, a, c, d], axis=-1)  # two triangles per quad
-    faces = np.concatenate(
-        [
-            np.stack([north, ids[0], nxt[0]], axis=-1),
-            band.reshape(-1, 3),
-            np.stack([south, nxt[-1], ids[-1]], axis=-1),
-        ]
-    )
+    def ring(i):
+        """The (nphi, 3) vertices of theta ring i."""
+        return np.stack([rho[i] * d1[i], rho[i] * d2[i], rho[i] * d3[i]], axis=-1)
+
+    # 1-based vertex ids of ring 0; `nxt` is the neighbour one step on in phi
+    ids = np.arange(1, nphi + 1)
+    nxt = np.roll(ids, -1)
+    north = np.full(nphi, grid.size + 1)
+    south = np.full(nphi, grid.size + 2)
+    last = (nt - 1) * nphi
+    # two triangles per quad between rings 0 and 1; band i adds i * nphi
+    band = np.stack([ids, ids + nphi, nxt + nphi, ids, nxt + nphi, nxt], axis=-1).ravel()
+    fan = OBJ_FACE * nphi
 
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write((OBJ_VERTEX * len(verts)) % tuple(verts.ravel().tolist()))
-        fh.write((OBJ_FACE * len(faces)) % tuple(faces.ravel().tolist()))
+        vertices = OBJ_VERTEX * nphi
+        for i in range(nt):
+            fh.write(vertices % tuple(ring(i).ravel().tolist()))
+        poles = np.stack([ring(0).mean(axis=0), ring(nt - 1).mean(axis=0)])
+        fh.write((OBJ_VERTEX * 2) % tuple(poles.ravel().tolist()))
+        fh.write(fan % tuple(np.stack([north, ids, nxt], axis=-1).ravel().tolist()))
+        faces = OBJ_FACE * (2 * nphi)
+        for i in range(nt - 1):
+            fh.write(faces % tuple((band + i * nphi).tolist()))
+        south_fan = np.stack([south, nxt + last, ids + last], axis=-1)
+        fh.write(fan % tuple(south_fan.ravel().tolist()))
 
 
 def write_solve_report(path, report):

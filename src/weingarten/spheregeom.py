@@ -7,7 +7,10 @@ periodic in phi, and continued across each pole by the antipodal rule
 value(-theta, phi) = value(theta, phi + pi).  All curvature quantities
 come from closed-form 2x2 algebra applied node by node to rho and its
 derivative jets, so a whole grid is a handful of vectorized array
-operations.
+operations.  The kernel runs them as a chain of small steps whose
+temporaries die as each step returns, so it holds a few grid-sized arrays
+at a time; a GeometryState keeps only the principal curvatures and the
+support function and rebuilds anything else on first access.
 """
 
 from __future__ import annotations
@@ -192,17 +195,15 @@ def covariant_hessian(grid, field):
 class GeometryState:
     """Extrinsic geometry of one radial graph, all fields per node.
 
-    The normal and the fundamental forms as (nt, np, 2, 2) arrays are
-    built from the fields on first access; the solver reads only kappa
-    and support.
+    Only kappa and support, the fields the solver reads, are stored.  v,
+    the normal and the fundamental forms are built from rho and the jets
+    on first access; v and the forms by the kernel's own formulas, so
+    they hold the very values `local_geometry` used.
     """
 
     grid: SphereGrid
     rho: np.ndarray
     jets: tuple                   # (rho_t, rho_p, rho_tt, rho_tp, rho_pp)
-    v: np.ndarray                 # sqrt(1 + |D rho|^2 / rho^2)
-    metric_parts: tuple           # (g_tt, g_tp, g_pp)
-    second_form_parts: tuple      # (h_tt, h_tp, h_pp)
     kappa: np.ndarray             # principal curvatures, ascending, (nt, np, 2)
     support: np.ndarray           # <X, nu> = rho^2 / sqrt(rho^2 + |D rho|^2)
 
@@ -210,6 +211,11 @@ class GeometryState:
     def mean_curvature(self):
         """kappa_1 + kappa_2."""
         return self.kappa[..., 0] + self.kappa[..., 1]
+
+    @cached_property
+    def v(self):
+        """sqrt(1 + |D rho|^2 / rho^2)."""
+        return _norm(self.grid, self.rho, *self.jets[:2]) / self.rho
 
     @cached_property
     def normal(self):
@@ -234,56 +240,66 @@ class GeometryState:
     @cached_property
     def metric(self):
         """g_ij, (nt, np, 2, 2)."""
-        return _sym2(*self.metric_parts)
+        return _sym2(*_metric_parts(self.grid, self.rho, *self.jets[:2]))
 
     @cached_property
     def second_form(self):
         """h_ij."""
-        return _sym2(*self.second_form_parts)
+        grid, rho, jets = self.grid, self.rho, self.jets
+        return _sym2(*_second_form_parts(grid, rho, jets, _norm(grid, rho, *jets[:2])))
 
 
-def local_geometry(grid, rho, jets):
-    """Geometry of a radial graph node by node, from rho and its jets
-    (rho_t, rho_p, rho_tt, rho_tp, rho_pp) at each node; no stencil is
-    applied here, so any jet may be perturbed on its own.
+# The kernel's steps.  Each returns only what the next step reads, so its
+# temporaries die on return and a geometry holds a few grid-sized arrays
+# at a time, not every intermediate of the 2x2 algebra.
 
-    Raises FloatingPointError at the first node with non-finite curvature.
-    """
+
+def _norm(grid, rho, d_theta, d_phi):
+    """w = sqrt(rho^2 + |D rho|^2), |D rho| in the round metric."""
+    st = grid.sin_theta[:, None]
+    grad_sq = d_theta * d_theta + (d_phi * d_phi) / (st * st)
+    return np.sqrt(rho * rho + grad_sq)
+
+
+def _metric_parts(grid, rho, d_theta, d_phi):
+    """First fundamental form (g_tt, g_tp, g_pp)."""
+    st = grid.sin_theta[:, None]
+    g_tt = rho * rho + d_theta * d_theta
+    g_tp = d_theta * d_phi
+    g_pp = rho * rho * (st * st) + d_phi * d_phi
+    return g_tt, g_tp, g_pp
+
+
+def _second_form_parts(grid, rho, jets, w):
+    """Second fundamental form (h_tt, h_tp, h_pp), with the covariant
+    Hessian of `covariant_hessian` written out term by term."""
     d_theta, d_phi, d_tt, d_tp, d_pp = jets
     st = grid.sin_theta[:, None]
     ct = grid.cos_theta[:, None]
     cot = grid.cot_theta[:, None]
-    sin2 = st * st
-
-    hess_tt = d_tt
-    hess_tp = d_tp - cot * d_phi
-    hess_pp = d_pp + st * ct * d_theta
-
-    grad_sq = d_theta * d_theta + (d_phi * d_phi) / sin2
-    w = np.sqrt(rho * rho + grad_sq)
-    v = w / rho
-    support = rho * rho / w
-
-    g_tt = rho * rho + d_theta * d_theta
-    g_tp = d_theta * d_phi
-    g_pp = rho * rho * sin2 + d_phi * d_phi
-
     inv_v = rho / w
-    h_tt = inv_v * (-hess_tt + rho + 2.0 * d_theta * d_theta / rho)
-    h_tp = inv_v * (-hess_tp + 2.0 * d_theta * d_phi / rho)
-    h_pp = inv_v * (-hess_pp + rho * sin2 + 2.0 * d_phi * d_phi / rho)
+    h_tt = inv_v * (-d_tt + rho + 2.0 * d_theta * d_theta / rho)
+    h_tp = inv_v * (-(d_tp - cot * d_phi) + 2.0 * d_theta * d_phi / rho)
+    h_pp = inv_v * (-(d_pp + st * ct * d_theta) + rho * (st * st) + 2.0 * d_phi * d_phi / rho)
+    return h_tt, h_tp, h_pp
 
-    det_g = g_tt * g_pp - g_tp * g_tp
 
-    # symmetric square root inverse of g: for a 2x2 SPD matrix M,
-    # sqrt(M) = (M + sqrt(det M) I) / tau with tau = sqrt(tr M + 2 sqrt(det M)),
-    # so inv(sqrt(M)) = adj(M + sqrt(det M) I) / (sqrt(det M) tau)
-    s = np.sqrt(det_g)
-    tau = np.sqrt(g_tt + g_pp + 2.0 * s)
-    a_tt = (g_pp + s) / (s * tau)
-    a_tp = -g_tp / (s * tau)
-    a_pp = (g_tt + s) / (s * tau)
+def _inverse_sqrt(g_tt, g_tp, g_pp):
+    """Symmetric inverse square root (a_tt, a_tp, a_pp) of g.
 
+    For a 2x2 SPD matrix M, sqrt(M) = (M + sqrt(det M) I) / tau with
+    tau = sqrt(tr M + 2 sqrt(det M)), so
+    inv(sqrt(M)) = adj(M + sqrt(det M) I) / (sqrt(det M) tau).
+    """
+    s = np.sqrt(g_tt * g_pp - g_tp * g_tp)
+    scale = s * np.sqrt(g_tt + g_pp + 2.0 * s)
+    return (g_pp + s) / scale, -g_tp / scale, (g_tt + s) / scale
+
+
+def _conjugate(a, h):
+    """The symmetric matrix a h a, as (s_tt, s_tp, s_pp)."""
+    a_tt, a_tp, a_pp = a
+    h_tt, h_tp, h_pp = h
     m_tt = a_tt * h_tt + a_tp * h_tp
     m_tp = a_tt * h_tp + a_tp * h_pp
     m_pt = a_tp * h_tt + a_pp * h_tp
@@ -291,25 +307,35 @@ def local_geometry(grid, rho, jets):
     s_tt = m_tt * a_tt + m_tp * a_tp
     s_pp = m_pt * a_tp + m_pp * a_pp
     s_tp = 0.5 * ((m_tt * a_tp + m_tp * a_pp) + (m_pt * a_tt + m_pp * a_tp))
+    return s_tt, s_tp, s_pp
 
+
+def _eigenvalues(s_tt, s_tp, s_pp):
+    """Eigenvalues of a symmetric 2x2 field, ascending, (nt, np, 2)."""
     half_trace = 0.5 * (s_tt + s_pp)
     radius = 0.5 * np.sqrt((s_tt - s_pp) ** 2 + 4.0 * s_tp * s_tp)
-    kappa = np.stack([half_trace - radius, half_trace + radius], axis=-1)
+    return np.stack([half_trace - radius, half_trace + radius], axis=-1)
+
+
+def local_geometry(grid, rho, jets):
+    """Geometry of a radial graph node by node, from rho and its jets
+    (rho_t, rho_p, rho_tt, rho_tp, rho_pp) at each node; no stencil is
+    applied here, so any jet may be perturbed on its own.
+
+    The principal curvatures are the eigenvalues of g^{-1/2} h g^{-1/2}.
+    Raises FloatingPointError at the first node with non-finite curvature.
+    """
+    d_theta, d_phi = jets[0], jets[1]
+    w = _norm(grid, rho, d_theta, d_phi)
+    support = rho * rho / w
+    a = _inverse_sqrt(*_metric_parts(grid, rho, d_theta, d_phi))
+    kappa = _eigenvalues(*_conjugate(a, _second_form_parts(grid, rho, jets, w)))
 
     if not np.all(np.isfinite(kappa)):
         bad = tuple(np.argwhere(~np.isfinite(kappa))[0][:2].tolist())
         raise FloatingPointError(f"non-finite curvature at node {bad}")
 
-    return GeometryState(
-        grid=grid,
-        rho=rho,
-        jets=tuple(jets),
-        v=v,
-        metric_parts=(g_tt, g_tp, g_pp),
-        second_form_parts=(h_tt, h_tp, h_pp),
-        kappa=kappa,
-        support=support,
-    )
+    return GeometryState(grid=grid, rho=rho, jets=tuple(jets), kappa=kappa, support=support)
 
 
 def geometry(grid, rho):

@@ -2,6 +2,7 @@
 and JSON reports."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,8 @@ def _replace_rho(lines, value):
 
 MALFORMED = {
     "blank-line": lambda lines: lines[:5] + [""] + lines[5:],
+    "whitespace-line": lambda lines: lines[:5] + [" \t "] + lines[5:],
+    "blank-line-after-header": lambda lines: lines[:1] + [""] + lines[1:],
     "comment-line": lambda lines: lines[:5] + ["# note"] + lines[5:],
     "non-numeric": lambda lines: _replace_rho(lines, "abc"),
     "two-fields": lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:],
@@ -119,6 +122,62 @@ def test_csv_rejects_malformed_rows_without_warning(tmp_path, case):
         with pytest.raises(SolutionFormatError):
             read_solution_csv(path)
     assert caught == []
+
+
+def _pad_fields(text):
+    header, body = text.split("\n", 1)
+    return header + "\n" + body.replace(",", " , ")
+
+
+# whole-file variants of a well-formed solution that must read back the
+# same field: blank lines may only surround the header and the rows
+ACCEPTED = {
+    "blank-lines-before-header": lambda text: "\n \n\n" + text,
+    "trailing-blank-lines": lambda text: text + "\n  \n\n",
+    "no-final-newline": lambda text: text.rstrip("\n"),
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "header-case-and-spaces": lambda text: text.replace("theta,phi,rho", " Theta,PHI,rho \t", 1),
+    "padded-fields": _pad_fields,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_csv_accepts_layout_variants(tmp_path, case):
+    grid = SphereGrid(8, 16)
+    rho = bumpy_field(grid)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, grid, rho)
+    path.write_bytes(ACCEPTED[case](path.read_text()).encode("utf-8"))
+    grid2, rho2 = read_solution_csv(path)
+    assert grid2.shape == grid.shape
+    assert np.array_equal(rho2, rho)
+
+
+# Peak Python-heap bytes of one call, in units of one float64 grid field.
+# Measured at 128x256: write_obj 3.5, write_solution_csv 0.3 and
+# read_solution_csv 11.8; a writer that formats the whole grid at once
+# takes 27-62, a reader that holds every line 23-27.
+HEAP_BOUNDS = {"write_obj": 6, "write_solution_csv": 2, "read_solution_csv": 16}
+
+
+@pytest.mark.parametrize("name", sorted(HEAP_BOUNDS))
+def test_io_heap_peak_is_a_few_grid_fields(tmp_path, name):
+    grid = SphereGrid(128, 256)
+    rho = bumpy_field(grid)
+    solution = tmp_path / "solution.csv"
+    write_solution_csv(solution, grid, rho)
+    calls = {
+        "write_obj": lambda: write_obj(tmp_path / "surface.obj", grid, rho),
+        "write_solution_csv": lambda: write_solution_csv(tmp_path / "copy.csv", grid, rho),
+        "read_solution_csv": lambda: read_solution_csv(solution),
+    }
+    tracemalloc.start()
+    try:
+        calls[name]()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= HEAP_BOUNDS[name] * grid.size * 8
 
 
 def reference_csv(grid, rho):

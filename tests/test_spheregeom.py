@@ -212,6 +212,93 @@ def test_kappa_is_sorted_ascending():
     assert np.all(geom.kappa[..., 0] <= geom.kappa[..., 1])
 
 
+def reference_geometry(grid, rho):
+    """Every geometry field by one out-of-place formula each, in the
+    kernel's order of operations, with all intermediates kept."""
+    d_theta, d_phi, d_tt, d_tp, d_pp = _raw_derivatives(grid, rho)
+    st = grid.sin_theta[:, None]
+    ct = grid.cos_theta[:, None]
+    cot = grid.cot_theta[:, None]
+    sin2 = st * st
+
+    hess_tt = d_tt
+    hess_tp = d_tp - cot * d_phi
+    hess_pp = d_pp + st * ct * d_theta
+
+    grad_sq = d_theta * d_theta + (d_phi * d_phi) / sin2
+    w = np.sqrt(rho * rho + grad_sq)
+    v = w / rho
+    support = rho * rho / w
+
+    g_tt = rho * rho + d_theta * d_theta
+    g_tp = d_theta * d_phi
+    g_pp = rho * rho * sin2 + d_phi * d_phi
+
+    inv_v = rho / w
+    h_tt = inv_v * (-hess_tt + rho + 2.0 * d_theta * d_theta / rho)
+    h_tp = inv_v * (-hess_tp + 2.0 * d_theta * d_phi / rho)
+    h_pp = inv_v * (-hess_pp + rho * sin2 + 2.0 * d_phi * d_phi / rho)
+
+    det_g = g_tt * g_pp - g_tp * g_tp
+    s = np.sqrt(det_g)
+    tau = np.sqrt(g_tt + g_pp + 2.0 * s)
+    a_tt = (g_pp + s) / (s * tau)
+    a_tp = -g_tp / (s * tau)
+    a_pp = (g_tt + s) / (s * tau)
+
+    m_tt = a_tt * h_tt + a_tp * h_tp
+    m_tp = a_tt * h_tp + a_tp * h_pp
+    m_pt = a_tp * h_tt + a_pp * h_tp
+    m_pp = a_tp * h_tp + a_pp * h_pp
+    s_tt = m_tt * a_tt + m_tp * a_tp
+    s_pp = m_pt * a_tp + m_pp * a_pp
+    s_tp = 0.5 * ((m_tt * a_tp + m_tp * a_pp) + (m_pt * a_tt + m_pp * a_tp))
+
+    half_trace = 0.5 * (s_tt + s_pp)
+    radius = 0.5 * np.sqrt((s_tt - s_pp) ** 2 + 4.0 * s_tp * s_tp)
+    kappa = np.stack([half_trace - radius, half_trace + radius], axis=-1)
+
+    w_normal = np.sqrt(rho * rho + d_theta * d_theta + (d_phi * d_phi) / (st * st))
+    cp = np.cos(grid.phi)[None, :]
+    sp = np.sin(grid.phi)[None, :]
+    e_rho = np.stack([st * cp, st * sp, ct * np.ones_like(cp)], axis=-1)
+    e_theta = np.stack([ct * cp, ct * sp, -st * np.ones_like(cp)], axis=-1)
+    e_phi = np.stack(
+        [-sp * np.ones_like(st), cp * np.ones_like(st), np.zeros_like(st * cp)], axis=-1
+    )
+    grad_vec = d_theta[..., None] * e_theta + (d_phi / st)[..., None] * e_phi
+    normal = (rho[..., None] * e_rho - grad_vec) / w_normal[..., None]
+
+    def sym2(xx, xy, yy):
+        return np.stack([np.stack([xx, xy], -1), np.stack([xy, yy], -1)], -2)
+
+    return {
+        "kappa": kappa,
+        "support": support,
+        "v": v,
+        "metric": sym2(g_tt, g_tp, g_pp),
+        "second_form": sym2(h_tt, h_tp, h_pp),
+        "normal": normal,
+    }
+
+
+def test_geometry_is_bit_identical_to_reference_formulas():
+    # a field with no symmetry: every node differs, pole rings and the
+    # phi seam included
+    grid = SphereGrid(16, 32)
+    th = grid.theta[:, None]
+    ph = grid.phi[None, :]
+    rng = np.random.default_rng(16)
+    rho = (
+        2.0 + 0.3 * np.cos(th) + 0.2 * np.sin(th) * np.cos(ph - 0.4)
+        + 0.1 * np.sin(th) ** 2 * np.sin(2.0 * ph)
+        + 1e-3 * rng.normal(size=grid.shape)
+    )
+    geom = geometry(grid, rho)
+    for name, want in reference_geometry(grid, rho).items():
+        assert np.array_equal(getattr(geom, name), want), name
+
+
 def test_geometry_rejects_nonpositive_radius():
     grid = SphereGrid(8, 16)
     rho = np.full(grid.shape, 2.0)
