@@ -4,8 +4,10 @@ Only `solve` loads scipy, for the sparse Jacobian and its LU; `check`,
 `verify` and `export` need numpy alone and skip scipy's import time.
 
 Exit codes: 0 success, 1 hypothesis or verification failure, 2 unusable
-input (missing files, malformed config or solution), 3 continuation
-failure.  No environment variable is read: to cap the BLAS thread pools,
+input (missing files, malformed config or solution, a coefficient that
+cannot be evaluated), 3 continuation failure.  `verify` reports a
+coefficient it cannot evaluate on the stored surface as a failed
+residual.  No environment variable is read: to cap the BLAS thread pools,
 export OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the process starts.
 """
 
@@ -26,6 +28,7 @@ from .continuation import (
     monitors,
 )
 from .curvop import AdmissibilityError, residual_field
+from .exprlang import ExprEvalError
 from .export import (
     SolutionFormatError,
     read_solution_csv,
@@ -140,7 +143,7 @@ def cmd_verify(args):
         res_inf = float(np.abs(residual_field(spec, rho, 1.0)).max())
         if res_inf > tol:
             failures.append(f"residual: |F| = {res_inf:.3e} > {tol:.1e}")
-    except AdmissibilityError as err:
+    except (AdmissibilityError, ExprEvalError) as err:
         failures.append(f"residual: {err}")
         res_inf = float("nan")
 
@@ -203,7 +206,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SolutionFormatError) as err:
+    except (ConfigError, SolutionFormatError, ExprEvalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OSError as err:

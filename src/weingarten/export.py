@@ -11,13 +11,17 @@ is formatted in one step through a template: the OBJ templates are a
 line repeated per vertex or face of the ring; the CSV template holds the
 ring's theta and each phi, formatted once, so only rho is formatted per
 node.  The reader streams the CSV body line by line into numpy's C text
-parser, which rounds like ``float()``.
+parser, which rounds like ``float()``.  It keeps the theta and phi fields
+as text and converts each distinct text once: a lattice of N nodes has
+N thetas and N phis but only ntheta + nphi distinct values, and correctly
+rounded decimal conversion is the costly part of a read.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +42,16 @@ NUMBER = "%.17g"
 OBJ_VERTEX = "v %.17g %.17g %.17g\n"
 OBJ_FACE = "f %d %d %d\n"
 
+#: characters read at a time from a solution CSV: a few rings of text
+CHUNK = 1 << 16
+#: a whitespace-only line, with the newline that ends the line before it
+_BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
+#: bytes kept of each theta or phi text; every %.17g value needs at most 24
+TEXT_WIDTH = 24
+TEXT_ROWS = np.dtype(
+    [("theta", f"S{TEXT_WIDTH}"), ("phi", f"S{TEXT_WIDTH}"), ("rho", "f8")]
+)
+
 
 class SolutionFormatError(ValueError):
     """Solution file does not match the expected layout."""
@@ -54,61 +68,169 @@ def write_solution_csv(path, grid, rho):
             fh.write((lead + lead.join(ring)) % tuple(row.tolist()))
 
 
-def _rows(lines):
-    """The lines left in `lines`; whitespace-only lines may only trail."""
-    blank = False
-    for line in lines:
-        if line.isspace():
-            blank = True
-        elif blank:
-            raise SolutionFormatError("blank line among the rows")
-        else:
-            yield line
+def _rows(fh):
+    """The lines left in `fh`, without their newlines, one list per chunk.
+
+    Whitespace-only lines may only trail.  A line holding a NUL is
+    refused: no number holds one, and numpy drops trailing NULs from a
+    bytes field.
+    """
+    # `text` starts with the newline that ends the line before it, so a
+    # blank line is a newline, whitespace and a newline
+    text = "\n"
+    while True:
+        chunk = fh.read(CHUNK)
+        text += chunk
+        if not chunk:
+            if text == "\n":
+                return
+            text += "\n"
+        end = text.rfind("\n")
+        if "\0" in text:
+            raise SolutionFormatError("NUL character in a row")
+        blank = _BLANK_LINE.search(text, 0, end + 1)
+        if blank:
+            end = blank.start()
+        if end:
+            yield text[1:end].split("\n")
+        if blank:
+            rest = text[end:]
+            while rest:
+                if not rest.isspace():
+                    raise SolutionFormatError("blank line among the rows")
+                rest = fh.read(CHUNK)
+            return
+        if not chunk:
+            return
+        text = text[end:]
+
+
+def _load_body(path, dtype, ndmin):
+    """The rows after the header of the CSV at `path`, parsed as `dtype`."""
+    with open(path, encoding="utf-8") as fh:
+        header = next((line for line in fh if not line.isspace()), "")
+        if header.strip().lower() != "theta,phi,rho":
+            raise SolutionFormatError("expected header 'theta,phi,rho'")
+        rows = _rows(fh)
+        first = next(rows, None)
+        if first is None:
+            raise SolutionFormatError("expected rows of theta,phi,rho")
+        return np.loadtxt(
+            itertools.chain.from_iterable(itertools.chain([first], rows)),
+            dtype=dtype, delimiter=",", comments=None, ndmin=ndmin,
+        )
+
+
+def _changed(texts, ring):
+    """Mask of the rows whose text differs from the row `ring` rows up,
+    or that have no row there."""
+    changed = np.ones(texts.size, dtype=bool)
+    changed[ring:] = texts[ring:] != texts[:-ring]
+    return changed
+
+
+def _spread(values, changed, ring):
+    """The column whose `changed` rows hold `values` in turn and whose
+    other rows repeat the row `ring` rows up; `ring` divides its size."""
+    # each row's index into `values`, then the latest changed one above it
+    index = np.cumsum(changed)
+    index -= 1
+    index[~changed] = 0
+    rings = index.reshape(-1, ring)
+    np.maximum.accumulate(rings, axis=0, out=rings)
+    return values[index]
+
+
+def _text_columns(path):
+    """theta, phi and rho columns of the CSV at `path` and the converted
+    theta and phi values, which hold every distinct value of each column.
+
+    Returns None where this cannot be exact: a field that fills
+    TEXT_WIDTH may have been cut, and any text the bytes parse or the
+    conversion refuses is left to the whole-row float parse to judge.
+    """
+    try:
+        table = _load_body(path, TEXT_ROWS, 1)
+    except (SolutionFormatError, UnicodeDecodeError):
+        raise
+    except ValueError:
+        return None
+    # the last byte of each text field: not NUL if the text may be cut
+    raw = table.view(np.uint8).reshape(table.size, TEXT_ROWS.itemsize)
+    ends = [TEXT_ROWS.fields[name][1] + TEXT_WIDTH - 1 for name in ("theta", "phi")]
+    if raw[:, ends].any():
+        return None
+
+    theta_texts, phi_texts = table["theta"], table["phi"]
+    theta_changed = _changed(theta_texts, 1)
+    # a ring is the first run of one theta text; if the rings cannot all
+    # be that long, every phi is converted
+    starts = np.flatnonzero(theta_changed)
+    ring = int(starts[1]) if starts.size > 1 else table.size
+    if table.size % ring:
+        ring = table.size
+    phi_changed = _changed(phi_texts, ring)
+    # numpy stored each text in latin-1, so decoding gives back the very
+    # field text that the whole-row parse would convert
+    texts = [*theta_texts[theta_changed], *phi_texts[phi_changed]]
+    line = ",".join(text.decode("latin-1") for text in texts)
+    try:
+        values = np.loadtxt([line], delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+    theta_values = values[: starts.size]
+    phi_values = values[starts.size :]
+
+    theta = _spread(theta_values, theta_changed, 1)
+    phi = _spread(phi_values, phi_changed, ring)
+    # a copy, so that the parsed table is freed on return
+    rho = table["rho"].copy()
+    return (theta, phi, rho), theta_values, phi_values
+
+
+def _float_columns(path):
+    """`_text_columns` through the whole-row float parse, which converts
+    every value, so the full columns are the converted values."""
+    data = _load_body(path, float, 2)
+    if data.shape[1] != 3:
+        raise SolutionFormatError("expected rows of theta,phi,rho")
+    theta, phi = data[:, 0], data[:, 1]
+    return (theta, phi, data[:, 2].copy()), theta, phi
 
 
 def read_solution_csv(path):
     """Read a solution CSV back into (grid, rho).
 
     Blank lines may come before the header and after the last row, but
-    not between rows.  The node lattice must match a staggered grid
-    exactly (up to the print precision) and every value must be finite;
-    anything else, including a file that is not UTF-8, raises
-    SolutionFormatError.
+    not between rows, and no row may hold a NUL.  The node lattice must
+    match a staggered grid exactly (up to the print precision) and every
+    value must be finite; anything else, including a file that is not
+    UTF-8, raises SolutionFormatError.
     """
     path = Path(path)
     if not path.is_file():
         raise SolutionFormatError(f"no such solution file: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
-            header = next((line for line in fh if not line.isspace()), "")
-            if header.strip().lower() != "theta,phi,rho":
-                raise SolutionFormatError("expected header 'theta,phi,rho'")
-            rows = _rows(fh)
-            first = next(rows, None)
-            if first is None:
-                raise SolutionFormatError("expected rows of theta,phi,rho")
-            data = np.loadtxt(
-                itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2
-            )
+        parsed = _text_columns(path) or _float_columns(path)
     except UnicodeDecodeError as err:
         raise SolutionFormatError(f"{path} is not UTF-8 text: {err}") from err
     except SolutionFormatError:
         raise
     except ValueError as err:
         raise SolutionFormatError(f"bad row in {path}: {err}") from err
-    if data.shape[1] != 3:
-        raise SolutionFormatError("expected rows of theta,phi,rho")
-    finite = np.isfinite(data)
+    (theta, phi, rho), theta_values, phi_values = parsed
+    finite = np.isfinite(theta) & np.isfinite(phi) & np.isfinite(rho)
     if not finite.all():
-        row = int(np.argwhere(~finite)[0][0])
+        row = int(np.argmin(finite))
+        bad = [float(theta[row]), float(phi[row]), float(rho[row])]
         raise SolutionFormatError(
-            f"non-finite value in {path}, row {row + 1}: theta,phi,rho = {data[row].tolist()}"
+            f"non-finite value in {path}, row {row + 1}: theta,phi,rho = {bad}"
         )
 
-    thetas = np.unique(data[:, 0])
-    phis = np.unique(data[:, 1])
+    thetas = np.unique(theta_values)
+    phis = np.unique(phi_values)
     ntheta, nphi = thetas.size, phis.size
-    if ntheta * nphi != data.shape[0]:
+    if ntheta * nphi != rho.size:
         raise SolutionFormatError("rows do not form a full theta x phi lattice")
     try:
         grid = SphereGrid(ntheta, nphi)
@@ -123,12 +245,11 @@ def read_solution_csv(path):
     expect_theta = np.repeat(grid.theta, nphi)
     expect_phi = np.tile(grid.phi, ntheta)
     if not (
-        np.allclose(data[:, 0], expect_theta, rtol=0, atol=1e-12)
-        and np.allclose(data[:, 1], expect_phi, rtol=0, atol=1e-12)
+        np.allclose(theta, expect_theta, rtol=0, atol=1e-12)
+        and np.allclose(phi, expect_phi, rtol=0, atol=1e-12)
     ):
         raise SolutionFormatError("rows are not in theta-major order")
-    # a copy, so that the parsed table is freed on return
-    return grid, data[:, 2].copy().reshape(ntheta, nphi)
+    return grid, rho.reshape(ntheta, nphi)
 
 
 def write_obj(path, grid, rho):

@@ -115,6 +115,39 @@ def test_check_fails_on_bad_coefficients(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+# coefficients that cannot be evaluated somewhere on [r1, 2*r2]
+UNEVALUABLE = {
+    "log(rho - 1.5)/rho^2": "log of a non-positive value",
+    "sqrt(1.5 - rho)": "sqrt of a negative value",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("alpha0", sorted(UNEVALUABLE))
+def test_unevaluable_coefficient_is_bad_input(tmp_path, capsys, command, alpha0):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("(0.6 - 0.05*rho)/rho^2", alpha0))
+    assert cli.main([command, str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {UNEVALUABLE[alpha0]}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "alpha0, message",
+    [("log(rho - 2.5)", "log of a non-positive value"), ("1/(rho - 2)", "division by zero")],
+)
+def test_verify_reports_unevaluable_coefficient_as_failed_residual(tmp_path, capsys, alpha0, message):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("(0.6 - 0.05*rho)/rho^2", alpha0))
+    grid = spheregeom.SphereGrid(8, 16)
+    solution = tmp_path / "sphere.csv"
+    write_solution_csv(solution, grid, np.full(grid.shape, 2.0))
+    assert cli.main(["verify", str(solution), str(cfg)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert any(line.startswith(f"FAIL residual: {message}") for line in out)
+
+
 def test_check_missing_config_is_bad_input(tmp_path, capsys):
     code = cli.main(["check", str(tmp_path / "nope.cfg")])
     assert code == 2

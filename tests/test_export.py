@@ -1,6 +1,7 @@
 """Solution files: lossless CSV round trips, watertight OBJ meshes,
 and JSON reports."""
 
+import itertools
 import json
 import tracemalloc
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from weingarten import export
 from weingarten.continuation import check_hypotheses, continue_to_one
 from weingarten.curvop import ProblemSpec
 from weingarten.export import (
@@ -85,6 +87,60 @@ def test_csv_rejects_truncated_file(tmp_path):
         read_solution_csv(path)
 
 
+def _reference_rows(lines):
+    blank = False
+    for line in lines:
+        if line.isspace():
+            blank = True
+        elif blank:
+            raise SolutionFormatError("blank line among the rows")
+        else:
+            yield line
+
+
+def reference_read(path):
+    """The reader that converts every field of every row, line by line:
+    the accept/reject decisions and arrays the fast reader must keep."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = next((line for line in fh if not line.isspace()), "")
+            if header.strip().lower() != "theta,phi,rho":
+                raise SolutionFormatError("header")
+            rows = _reference_rows(fh)
+            first = next(rows, None)
+            if first is None:
+                raise SolutionFormatError("no rows")
+            data = np.loadtxt(
+                itertools.chain([first], rows), delimiter=",", comments=None, ndmin=2
+            )
+    except (UnicodeDecodeError, ValueError) as err:
+        raise SolutionFormatError(str(err)) from err
+    if data.shape[1] != 3 or not np.isfinite(data).all():
+        raise SolutionFormatError("columns")
+    thetas, phis = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if thetas.size * phis.size != data.shape[0]:
+        raise SolutionFormatError("lattice size")
+    try:
+        grid = SphereGrid(thetas.size, phis.size)
+    except ValueError as err:
+        raise SolutionFormatError(str(err)) from err
+    if not (
+        np.allclose(thetas, grid.theta, rtol=0, atol=1e-12)
+        and np.allclose(phis, grid.phi, rtol=0, atol=1e-12)
+        and np.allclose(data[:, 0], np.repeat(grid.theta, grid.nphi), rtol=0, atol=1e-12)
+        and np.allclose(data[:, 1], np.tile(grid.phi, grid.ntheta), rtol=0, atol=1e-12)
+    ):
+        raise SolutionFormatError("lattice")
+    return grid, data[:, 2].reshape(grid.shape)
+
+
+def _edit_field(lines, row, column, edit):
+    """`lines` with field `column` of line `row` passed through `edit`."""
+    fields = lines[row].split(",")
+    fields[column] = edit(fields[column])
+    return lines[:row] + [",".join(fields)] + lines[row + 1 :]
+
+
 def _replace_rho(lines, value):
     theta, phi, _ = lines[5].split(",")
     return lines[:5] + [f"{theta},{phi},{value}"] + lines[6:]
@@ -104,6 +160,21 @@ MALFORMED = {
     "inf": lambda lines: _replace_rho(lines, "inf"),
     "minus-inf": lambda lines: _replace_rho(lines, "-inf"),
     "overflow": lambda lines: _replace_rho(lines, "1e400"),
+    # 125 rows: no ring length divides them, so every phi is converted
+    "truncated": lambda lines: lines[:-3],
+    "nul-in-theta": lambda lines: _edit_field(lines, 5, 0, lambda t: t[:3] + "\0" + t[3:]),
+    "nul-ending-theta": lambda lines: _edit_field(lines, 5, 0, lambda t: t + "\0"),
+    "nul-after-rho": lambda lines: _edit_field(lines, 5, 2, lambda t: t + "\0"),
+    "non-ascii-digit-in-phi": lambda lines: _edit_field(lines, 5, 1, lambda t: "\u0663"),
+    "unicode-space-line": lambda lines: lines[:5] + ["\u2003"] + lines[5:],
+    "nul-in-trailing-line": lambda lines: lines + ["", "\0"],
+    # 9 distinct thetas, all within 1e-12 of the 8 lattice thetas
+    "close-thetas": lambda lines: _edit_field(lines, 5, 0, lambda t: repr(float(t) + 1e-13)),
+    "rows-out-of-order": lambda lines: lines[:5] + [lines[5 + 16]] + lines[6 : 5 + 16]
+    + [lines[5]] + lines[6 + 16 :],
+    "phi-major-order": lambda lines: lines[:1] + sorted(
+        lines[1:], key=lambda line: [float(x) for x in line.split(",")[1::-1]]
+    ),
 }
 
 
@@ -122,6 +193,13 @@ def test_csv_rejects_malformed_rows_without_warning(tmp_path, case):
         with pytest.raises(SolutionFormatError):
             read_solution_csv(path)
     assert caught == []
+    with pytest.raises(SolutionFormatError):
+        reference_read(path)
+
+
+def _edit_text(text, row, column, edit):
+    lines = text.split("\n")
+    return "\n".join(_edit_field(lines, row, column, edit))
 
 
 def _pad_fields(text):
@@ -138,6 +216,16 @@ ACCEPTED = {
     "crlf": lambda text: text.replace("\n", "\r\n"),
     "header-case-and-spaces": lambda text: text.replace("theta,phi,rho", " Theta,PHI,rho \t", 1),
     "padded-fields": _pad_fields,
+    # longer than the reader's text width; cut to that width it reads as another value
+    "long-theta-text": lambda text: _edit_text(text, 5, 0, lambda t: "0" * 10 + t),
+    # whitespace numpy skips but cannot store as a bytes field
+    "unicode-space-padding": lambda text: _edit_text(text, 5, 0, lambda t: "\u2003" + t),
+    "repr-texts": lambda text: "\n".join(
+        ",".join([*(repr(float(x)) for x in line.split(",")[:2]), line.split(",")[2]])
+        for line in text.splitlines()[1:]
+    ).join(["theta,phi,rho\n", "\n"]),
+    "two-texts-for-one-theta": lambda text: _edit_text(text, 5, 0, lambda t: t + "0"),
+    "two-texts-for-one-phi": lambda text: _edit_text(text, 40, 1, lambda t: t + "0"),
 }
 
 
@@ -151,11 +239,24 @@ def test_csv_accepts_layout_variants(tmp_path, case):
     grid2, rho2 = read_solution_csv(path)
     assert grid2.shape == grid.shape
     assert np.array_equal(rho2, rho)
+    assert np.array_equal(reference_read(path)[1], rho)
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (6, 12), (4, 8)], ids=["8x16", "6x12", "4x8"])
+def test_reader_converts_each_lattice_text_once(tmp_path, shape):
+    grid = SphereGrid(*shape)
+    path = tmp_path / "solution.csv"
+    write_solution_csv(path, grid, bumpy_field(grid))
+    (theta, phi, _), thetas, phis = export._text_columns(path)
+    assert np.array_equal(thetas, grid.theta)
+    assert np.array_equal(phis, grid.phi)
+    assert np.array_equal(theta, np.repeat(grid.theta, grid.nphi))
+    assert np.array_equal(phi, np.tile(grid.phi, grid.ntheta))
 
 
 # Peak Python-heap bytes of one call, in units of one float64 grid field.
 # Measured at 128x256: write_obj 3.5, write_solution_csv 0.3 and
-# read_solution_csv 11.8; a writer that formats the whole grid at once
+# read_solution_csv 11.6; a writer that formats the whole grid at once
 # takes 27-62, a reader that holds every line 23-27.
 HEAP_BOUNDS = {"write_obj": 6, "write_solution_csv": 2, "read_solution_csv": 16}
 
