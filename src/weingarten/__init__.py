@@ -50,16 +50,11 @@ from .export import (
     read_solution_csv,
     write_hypothesis_report,
     write_obj,
+    write_report,
     write_solution_csv,
     write_solve_report,
 )
-from .spheregeom import (
-    GeometryState,
-    SphereGrid,
-    covariant_gradient,
-    covariant_hessian,
-    geometry,
-)
+from .spheregeom import GeometryState, SphereGrid, geometry
 from .symmfunc import (
     SingularQuotientError,
     in_gamma_cone,

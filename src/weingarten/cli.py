@@ -5,10 +5,11 @@ Only `solve` loads scipy, for the sparse Jacobian and its LU; `check`,
 
 Exit codes: 0 success, 1 hypothesis or verification failure, 2 unusable
 input (missing files, malformed config or solution, a coefficient that
-cannot be evaluated), 3 continuation failure.  `verify` reports a
-coefficient it cannot evaluate on the stored surface as a failed
-residual.  No environment variable is read: to cap the BLAS thread pools,
-export OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the process starts.
+cannot be evaluated), 3 continuation failure, a failed t=0 solve
+included.  `verify` reports a coefficient it cannot evaluate on the
+stored surface as a failed residual.  No environment variable is read:
+to cap the BLAS thread pools, export OPENBLAS_NUM_THREADS /
+OMP_NUM_THREADS before the process starts.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def check_hypotheses(spec, samples=48):
     def shell_gap(env):
         gap = sig_e[k] / env.rho**k
         for l, alpha in enumerate(spec.alphas):
-            gap = gap - evaluate(alpha, env) * sig_e[l] / env.rho**l
+            gap = gap - evaluate(alpha, env, f"alpha{l}") * sig_e[l] / env.rho**l
         return gap
 
     env_outer = _band_env(band_outer, dirs)
@@ -246,7 +246,7 @@ def check_hypotheses(spec, samples=48):
     fd_step = min(1e-5, 0.25 * r1)
     for l, alpha in enumerate(spec.alphas):
         weighted = Binary("*", Binary("^", Var("rho"), Const(float(k - l))), alpha)
-        slope = radial_derivative(weighted, env_shell, h=fd_step)
+        slope = radial_derivative(weighted, env_shell, h=fd_step, key=f"alpha{l}")
         margin, location = _worst(-slope, env_shell)
         if margin < worst_margin:
             worst_margin = margin
@@ -258,7 +258,7 @@ def check_hypotheses(spec, samples=48):
     worst_margin = math.inf
     worst_location = {}
     for l, alpha in enumerate(spec.alphas):
-        margin, location = _worst(evaluate(alpha, env_shell), env_shell)
+        margin, location = _worst(evaluate(alpha, env_shell, f"alpha{l}"), env_shell)
         if margin < worst_margin:
             worst_margin = margin
             worst_location = dict(location, l=l)
@@ -268,20 +268,20 @@ def check_hypotheses(spec, samples=48):
 
     env_full = _band_env(band_full, dirs)
     profile_full = np.broadcast_to(
-        np.asarray(evaluate(spec.phi, env_full), dtype=float), env_full.rho.shape
+        np.asarray(evaluate(spec.phi, env_full, "phi"), dtype=float), env_full.rho.shape
     )
     margin, location = _worst(profile_full, env_full)
     entries["profile_positive"] = HypothesisEntry(
         "profile_positive", True, margin, location
     )
 
-    profile_inner = evaluate(spec.phi, env_inner)
+    profile_inner = evaluate(spec.phi, env_inner, "phi")
     margin, location = _worst(profile_inner - 1.0, env_inner)
     entries["profile_above_one_inside"] = HypothesisEntry(
         "profile_above_one_inside", True, margin, location
     )
 
-    profile_outer = evaluate(spec.phi, env_outer)
+    profile_outer = evaluate(spec.phi, env_outer, "phi")
     margin, location = _worst(1.0 - profile_outer, env_outer)
     entries["profile_below_one_outside"] = HypothesisEntry(
         "profile_below_one_outside", True, margin, location
@@ -305,7 +305,7 @@ def initial_solution(spec):
     """Constant starting field: the radius where the deformation profile
     crosses 1, found by bisection on [r1, r2] to 1e-12."""
     def profile(r):
-        return float(evaluate(spec.phi, EvalEnv(r, 0.0, 0.0, r))) - 1.0
+        return float(evaluate(spec.phi, EvalEnv(r, 0.0, 0.0, r), "phi")) - 1.0
 
     lo, hi = spec.r1, spec.r2
     f_lo, f_hi = profile(lo), profile(hi)
@@ -488,13 +488,14 @@ def monitors(spec, geom):
     and max H.  Returns these values, keyed as in the solve report, and one
     message per violated barrier, support or sigma_1 condition."""
     kappa = geom.kappa
+    sigma1 = kappa[..., 0] + kappa[..., 1]  # the mean curvature H
     values = {
         "rho_min": float(geom.rho.min()),
         "rho_max": float(geom.rho.max()),
         "support_min": float(geom.support.min()),
-        "sigma1_min": float((kappa[..., 0] + kappa[..., 1]).min()),
+        "sigma1_min": float(sigma1.min()),
         "sigma2_min": float((kappa[..., 0] * kappa[..., 1]).min()),
-        "H_max": float(geom.mean_curvature.max()),
+        "H_max": float(sigma1.max()),
     }
     violations = []
     if not (values["rho_min"] > spec.r1 and values["rho_max"] < spec.r2):
@@ -527,14 +528,16 @@ def _record_step(spec, rho, t, newton, wall_ms):
 def continue_to_one(spec, samples=48, callback=None):
     """Walk the homotopy from the round-sphere problem to the target one.
 
-    Refuses to run when the hypothesis check fails (HypothesisError).
-    Steps in t start at t_step_initial, halve after a failed step, double
-    after two consecutive accepted steps (capped at t_step_max), and a
-    step below t_step_min aborts with ContinuationFailure.  Each step is
-    corrected by chord Newton (`newton_solve`) starting from the kept LU
-    of the last accepted step, so a Jacobian is built and factorized only
-    when the reused one stops contracting.  Returns the final field and a
-    SolveReport with one row per accepted step.
+    Refuses to run when the hypothesis check fails (HypothesisError).  The
+    first step solves the t=0 problem from the starting sphere; a failure
+    there aborts with ContinuationFailure at once.  Later steps in t start
+    at t_step_initial, halve after a failed step, double after two
+    consecutive accepted steps (capped at t_step_max), and a step below
+    t_step_min aborts with ContinuationFailure.  Each step is corrected by
+    chord Newton (`newton_solve`) starting from the kept LU of the last
+    accepted step, so a Jacobian is built and factorized only when the
+    reused one stops contracting.  Returns the final field and a
+    SolveReport with one row per accepted step, the t=0 solve included.
     """
     hypothesis = check_hypotheses(spec, samples=samples)
     if not hypothesis.passed:
@@ -542,24 +545,12 @@ def continue_to_one(spec, samples=48, callback=None):
 
     settings = spec.solver
     rho = initial_solution(spec)
+    lu = None
     steps = []
-
-    begin = time.perf_counter()
-    newton = newton_solve(spec, rho, 0.0)
-    wall_ms = 1e3 * (time.perf_counter() - begin)
-    rho = newton.rho
-    lu = newton.lu
-    step = _record_step(spec, rho, 0.0, newton, wall_ms)
-    steps.append(step)
-    if callback is not None:
-        callback(step)
-
-    t = 0.0
+    t = target = 0.0
     dt = settings.t_step_initial
     consecutive = 0
     while t < 1.0:
-        dt = min(dt, settings.t_step_max, 1.0 - t)
-        target = 1.0 if (1.0 - t) - dt < 1e-12 else t + dt
         begin = time.perf_counter()
         try:
             newton = newton_solve(spec, rho, target, lu=lu)
@@ -571,20 +562,22 @@ def continue_to_one(spec, samples=48, callback=None):
         if not ok:
             consecutive = 0
             dt *= 0.5
-            if dt < settings.t_step_min:
+            if not steps or dt < settings.t_step_min:
                 raise ContinuationFailure(t, rho, SolveReport(steps, hypothesis))
-            continue
-
-        rho = newton.rho
-        lu = newton.lu
-        t = target
-        consecutive += 1
-        step = _record_step(spec, rho, t, newton, wall_ms)
-        steps.append(step)
-        if callback is not None:
-            callback(step)
-        if consecutive >= 2:
-            dt = min(2.0 * dt, settings.t_step_max)
-            consecutive = 0
+        else:
+            rho = newton.rho
+            lu = newton.lu
+            step = _record_step(spec, rho, target, newton, wall_ms)
+            steps.append(step)
+            if callback is not None:
+                callback(step)
+            if target > t:  # a step in t; the t=0 solve does not count
+                t = target
+                consecutive += 1
+                if consecutive >= 2:
+                    dt = min(2.0 * dt, settings.t_step_max)
+                    consecutive = 0
+        dt = min(dt, settings.t_step_max, 1.0 - t)
+        target = 1.0 if (1.0 - t) - dt < 1e-12 else t + dt
 
     return rho, SolveReport(steps, hypothesis)

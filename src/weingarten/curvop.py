@@ -118,8 +118,8 @@ class ProblemSpec:
 def alpha_blend(spec, env, t):
     """Deformed top coefficient alpha_{k-1}(X, t); affine in t, equal to
     alpha_{k-1}(X) at t=1 and to the round-sphere coefficient at t=0."""
-    target = evaluate(spec.alphas[spec.k - 1], env)
-    source = evaluate(spec.phi, env) * spec.round_ratio / env.rho
+    target = evaluate(spec.alphas[spec.k - 1], env, f"alpha{spec.k - 1}")
+    source = evaluate(spec.phi, env, "phi") * spec.round_ratio / env.rho
     return t * target + (1.0 - t) * source
 
 
@@ -140,7 +140,7 @@ def residual(spec, geom, t):
 
     env = geom.grid.node_env(geom.rho)
     out = kappa[..., 0] * kappa[..., 1] / sigma1
-    out = out - t * evaluate(spec.alphas[0], env) / sigma1
+    out = out - t * evaluate(spec.alphas[0], env, "alpha0") / sigma1
     out = out - alpha_blend(spec, env, t)
     if not np.all(np.isfinite(out)):
         bad = tuple(np.argwhere(~np.isfinite(out))[0].tolist())

@@ -33,6 +33,7 @@ __all__ = [
     "write_solution_csv",
     "read_solution_csv",
     "write_obj",
+    "write_report",
     "write_solve_report",
     "write_hypothesis_report",
 ]
@@ -291,13 +292,11 @@ def write_obj(path, grid, rho):
         fh.write(fan % tuple(south_fan.ravel().tolist()))
 
 
-def write_solve_report(path, report):
+def write_report(path, report):
+    """A solve or hypothesis report as indented JSON."""
     Path(path).write_text(
         json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
     )
 
 
-def write_hypothesis_report(path, report):
-    Path(path).write_text(
-        json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
-    )
+write_solve_report = write_hypothesis_report = write_report

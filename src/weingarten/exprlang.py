@@ -61,10 +61,12 @@ class ExprNameError(ExprSyntaxError):
 
 class ExprEvalError(ArithmeticError):
     """Evaluation produced an undefined or non-finite value; carries the
-    byte offset of the responsible node."""
+    byte offset of the responsible node, and the message names the key of
+    the expression (alpha0, alpha1 or phi) when the caller gave it."""
 
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (byte offset {offset})")
+    def __init__(self, message, offset, key=None):
+        where = "" if key is None else f" in {key}"
+        super().__init__(f"{message}{where} (byte offset {offset})")
         self.offset = offset
 
 
@@ -263,25 +265,26 @@ def parse(text):
     return _Parser(text).parse()
 
 
-def _check_finite(value, pos):
+def _check_finite(value, pos, key):
     if not np.all(np.isfinite(value)):
-        raise ExprEvalError("non-finite value", pos)
+        raise ExprEvalError("non-finite value", pos, key)
     return value
 
 
-def evaluate(node, env):
+def evaluate(node, env, key=None):
     """Evaluate an AST at an EvalEnv.  Works elementwise on array
     environments; raises ExprEvalError on division by zero, domain faults
-    and non-finite results, carrying the offending node's offset."""
+    and non-finite results, carrying the offending node's offset and
+    `key`, the name of the expression evaluated."""
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return getattr(env, node.name)
     if isinstance(node, Unary):
-        return -evaluate(node.operand, env)
+        return -evaluate(node.operand, env, key)
     if isinstance(node, Binary):
-        left = evaluate(node.left, env)
-        right = evaluate(node.right, env)
+        left = evaluate(node.left, env, key)
+        right = evaluate(node.right, env, key)
         if node.op == "+":
             out = left + right
         elif node.op == "-":
@@ -290,21 +293,21 @@ def evaluate(node, env):
             out = left * right
         elif node.op == "/":
             if np.any(np.asarray(right) == 0.0):
-                raise ExprEvalError("division by zero", node.pos)
+                raise ExprEvalError("division by zero", node.pos, key)
             out = left / right
         else:  # "^"
             with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
                 out = np.power(left, right)
-        return _check_finite(out, node.pos)
+        return _check_finite(out, node.pos, key)
     if isinstance(node, Call):
-        args = [evaluate(a, env) for a in node.args]
+        args = [evaluate(a, env, key) for a in node.args]
         if node.func == "log":
             if np.any(np.asarray(args[0]) <= 0.0):
-                raise ExprEvalError("log of a non-positive value", node.pos)
+                raise ExprEvalError("log of a non-positive value", node.pos, key)
             out = np.log(args[0])
         elif node.func == "sqrt":
             if np.any(np.asarray(args[0]) < 0.0):
-                raise ExprEvalError("sqrt of a negative value", node.pos)
+                raise ExprEvalError("sqrt of a negative value", node.pos, key)
             out = np.sqrt(args[0])
         elif node.func == "exp":
             with np.errstate(over="ignore"):
@@ -319,7 +322,7 @@ def evaluate(node, env):
             out = np.minimum(args[0], args[1])
         else:  # "max"
             out = np.maximum(args[0], args[1])
-        return _check_finite(out, node.pos)
+        return _check_finite(out, node.pos, key)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -374,13 +377,14 @@ def to_text(node):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def radial_derivative(node, env, h=1e-6):
+def radial_derivative(node, env, h=1e-6, key=None):
     """Central-difference derivative along the ray through each sample
-    point: direction cosines stay fixed, the radius moves by +-h."""
+    point: direction cosines stay fixed, the radius moves by +-h.  `key`
+    names the expression as in `evaluate`."""
     if h <= 0.0:
         raise ValueError("step h must be positive")
     if np.any(env.rho - h <= 0.0):
         raise ValueError("step h too large: rho - h must stay positive")
-    upper = evaluate(node, env.along_ray(env.rho + h))
-    lower = evaluate(node, env.along_ray(env.rho - h))
+    upper = evaluate(node, env.along_ray(env.rho + h), key)
+    lower = evaluate(node, env.along_ray(env.rho - h), key)
     return (upper - lower) / (2.0 * h)

@@ -1,16 +1,19 @@
-"""Discrete calculus and extrinsic geometry of radial graphs over S^2.
+"""Finite-difference jets and extrinsic geometry of radial graphs over S^2.
 
 A surface is a positive field rho on a staggered latitude/longitude grid
 (no nodes at the poles); the embedding is X = rho(theta, phi) * x with x
 the unit direction.  Derivatives are second-order central differences:
 periodic in phi, and continued across each pole by the antipodal rule
-value(-theta, phi) = value(theta, phi + pi).  All curvature quantities
-come from closed-form 2x2 algebra applied node by node to rho and its
-derivative jets, so a whole grid is a handful of vectorized array
-operations.  The kernel runs them as a chain of small steps whose
-temporaries die as each step returns, so it holds a few grid-sized arrays
-at a time; a GeometryState keeps only the principal curvatures and the
-support function and rebuilds anything else on first access.
+value(-theta, phi) = value(theta, phi + pi).  They are defined once, by
+slicing a padded field; the Jacobian's sparse stencil matrices take their
+weights from the response of those slices to a unit impulse.  All
+curvature quantities come from closed-form 2x2 algebra applied node by
+node to rho and its derivative jets, so a whole grid is a handful of
+vectorized array operations.  The kernel runs them as a chain of small
+steps whose temporaries die as each step returns, so it holds a few
+grid-sized arrays at a time.  A GeometryState keeps what the solver's a
+priori bounds and residual read: rho and its jets, the principal
+curvatures and the support function.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from .exprlang import EvalEnv
 __all__ = [
     "SphereGrid",
     "GeometryState",
-    "covariant_gradient",
-    "covariant_hessian",
     "local_geometry",
     "geometry",
 ]
@@ -105,8 +106,9 @@ class SphereGrid:
     def jet_stencils(self):
         """Sparse matrices (D_0, ..., D_5) taking a flattened field to its
         value and its derivatives (theta, phi, theta-theta, theta-phi,
-        phi-phi): the stencils of `geometry`, columns mapped through the
-        same `pad` ghost rule.  All six share one pattern of 9 entries per
+        phi-phi): the weights of `geometry`'s stencils, read off their
+        response to a unit impulse, with columns mapped through the same
+        `pad` ghost rule.  All six share one pattern of 9 entries per
         row in ascending column order, explicit zeros included, so they
         combine entry by entry.  Built on first use; only the Jacobian
         reads them.
@@ -132,26 +134,20 @@ def _jet_stencils(grid):
     from scipy.sparse import csr_matrix  # scipy loads only on the solve path
 
     nt, npj = grid.shape
-    dt, dp = grid.dtheta, grid.dphi
     index = grid.pad(np.arange(grid.size, dtype=float).reshape(grid.shape))
     offsets = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
     cols = np.stack(
         [index[1 + di:nt + 1 + di, 1 + dj:npj + 1 + dj].ravel() for di, dj in offsets],
         axis=1,
     ).astype(np.intp)
-    at = {offset: k for k, offset in enumerate(offsets)}
-    weights = np.zeros((6, len(offsets)))
-    weights[0, at[0, 0]] = 1.0
-    weights[1, at[1, 0]] = 1.0 / (2.0 * dt)
-    weights[1, at[-1, 0]] = -1.0 / (2.0 * dt)
-    weights[2, at[0, 1]] = 1.0 / (2.0 * dp)
-    weights[2, at[0, -1]] = -1.0 / (2.0 * dp)
-    weights[3, [at[1, 0], at[-1, 0]]] = 1.0 / (dt * dt)
-    weights[3, at[0, 0]] = -2.0 / (dt * dt)
-    weights[4, [at[1, 1], at[-1, -1]]] = 1.0 / (4.0 * dt * dp)
-    weights[4, [at[1, -1], at[-1, 1]]] = -1.0 / (4.0 * dt * dp)
-    weights[5, [at[0, 1], at[0, -1]]] = 1.0 / (dp * dp)
-    weights[5, at[0, 0]] = -2.0 / (dp * dp)
+    # weight of offset o in jet m: jet m, at node c - o, of a unit impulse
+    # at an interior node c
+    impulse = np.zeros(grid.shape)
+    impulse[nt // 2, npj // 2] = 1.0
+    jets = (impulse,) + _raw_derivatives(grid, impulse)
+    weights = np.array(
+        [[jet[nt // 2 - di, npj // 2 - dj] for di, dj in offsets] for jet in jets]
+    )
 
     order = np.argsort(cols, axis=1)
     indices = np.take_along_axis(cols, order, axis=1).ravel()
@@ -160,93 +156,18 @@ def _jet_stencils(grid):
     return tuple(csr_matrix((w[order].ravel(), indices, indptr), shape=shape) for w in weights)
 
 
-def _sym2(a_tt, a_tp, a_pp):
-    out = np.empty(a_tt.shape + (2, 2))
-    out[..., 0, 0] = a_tt
-    out[..., 0, 1] = a_tp
-    out[..., 1, 0] = a_tp
-    out[..., 1, 1] = a_pp
-    return out
-
-
-def covariant_gradient(grid, field):
-    """Round-metric gradient (D_theta, D_phi) per node, shape (nt, np, 2)."""
-    d_theta, d_phi, *_ = _raw_derivatives(grid, field)
-    return np.stack([d_theta, d_phi], axis=-1)
-
-
-def covariant_hessian(grid, field):
-    """Covariant Hessian D_i D_j on the round sphere, shape (nt, np, 2, 2).
-
-    Subtracts the Christoffel terms of the metric diag(1, sin^2 theta):
-    the only nonzero symbols are G^t_pp = -sin t cos t and G^p_tp = cot t.
-    """
-    d_theta, d_phi, d_tt, d_tp, d_pp = _raw_derivatives(grid, field)
-    st = grid.sin_theta[:, None]
-    ct = grid.cos_theta[:, None]
-    cot = grid.cot_theta[:, None]
-    h_tt = d_tt
-    h_tp = d_tp - cot * d_phi
-    h_pp = d_pp + st * ct * d_theta
-    return _sym2(h_tt, h_tp, h_pp)
-
-
 @dataclass
 class GeometryState:
-    """Extrinsic geometry of one radial graph, all fields per node.
-
-    Only kappa and support, the fields the solver reads, are stored.  v,
-    the normal and the fundamental forms are built from rho and the jets
-    on first access; v and the forms by the kernel's own formulas, so
-    they hold the very values `local_geometry` used.
-    """
+    """The fields of one radial graph that the solver reads, per node: rho
+    (the C0 barrier bound), its jets (the Jacobian), the principal
+    curvatures (the C2 bound, the cone and the residual) and the support
+    function (the C1 bound)."""
 
     grid: SphereGrid
     rho: np.ndarray
     jets: tuple                   # (rho_t, rho_p, rho_tt, rho_tp, rho_pp)
     kappa: np.ndarray             # principal curvatures, ascending, (nt, np, 2)
     support: np.ndarray           # <X, nu> = rho^2 / sqrt(rho^2 + |D rho|^2)
-
-    @property
-    def mean_curvature(self):
-        """kappa_1 + kappa_2."""
-        return self.kappa[..., 0] + self.kappa[..., 1]
-
-    @cached_property
-    def v(self):
-        """sqrt(1 + |D rho|^2 / rho^2)."""
-        return _norm(self.grid, self.rho, *self.jets[:2]) / self.rho
-
-    @cached_property
-    def normal(self):
-        """Outward unit normal (rho e_rho - grad rho) / w, (nt, np, 3), with
-        the ambient representation
-        grad rho = D_theta rho e_theta + (D_phi rho / sin t) e_phi."""
-        grid, rho = self.grid, self.rho
-        d_theta, d_phi = self.jets[:2]
-        st = grid.sin_theta[:, None]
-        ct = grid.cos_theta[:, None]
-        w = np.sqrt(rho * rho + d_theta * d_theta + (d_phi * d_phi) / (st * st))
-        cp = np.cos(grid.phi)[None, :]
-        sp = np.sin(grid.phi)[None, :]
-        e_rho = np.stack([st * cp, st * sp, ct * np.ones_like(cp)], axis=-1)
-        e_theta = np.stack([ct * cp, ct * sp, -st * np.ones_like(cp)], axis=-1)
-        e_phi = np.stack(
-            [-sp * np.ones_like(st), cp * np.ones_like(st), np.zeros_like(st * cp)], axis=-1
-        )
-        grad_vec = d_theta[..., None] * e_theta + (d_phi / st)[..., None] * e_phi
-        return (rho[..., None] * e_rho - grad_vec) / w[..., None]
-
-    @cached_property
-    def metric(self):
-        """g_ij, (nt, np, 2, 2)."""
-        return _sym2(*_metric_parts(self.grid, self.rho, *self.jets[:2]))
-
-    @cached_property
-    def second_form(self):
-        """h_ij."""
-        grid, rho, jets = self.grid, self.rho, self.jets
-        return _sym2(*_second_form_parts(grid, rho, jets, _norm(grid, rho, *jets[:2])))
 
 
 # The kernel's steps.  Each returns only what the next step reads, so its
@@ -271,8 +192,9 @@ def _metric_parts(grid, rho, d_theta, d_phi):
 
 
 def _second_form_parts(grid, rho, jets, w):
-    """Second fundamental form (h_tt, h_tp, h_pp), with the covariant
-    Hessian of `covariant_hessian` written out term by term."""
+    """Second fundamental form (h_tt, h_tp, h_pp).  The covariant Hessian
+    of rho is written out term by term: the round metric diag(1, sin^2 t)
+    has Christoffel symbols G^t_pp = -sin t cos t and G^p_tp = cot t."""
     d_theta, d_phi, d_tt, d_tp, d_pp = jets
     st = grid.sin_theta[:, None]
     ct = grid.cos_theta[:, None]

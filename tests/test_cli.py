@@ -148,6 +148,39 @@ def test_verify_reports_unevaluable_coefficient_as_failed_residual(tmp_path, cap
     assert any(line.startswith(f"FAIL residual: {message}") for line in out)
 
 
+# the same fault, log of a non-positive value for rho <= 2.5, under each key
+FAULTY_KEY = {
+    "alpha0": "(0.6 - 0.05*rho)/rho^2",
+    "alpha1": "0.25/rho",
+    "phi": "2.5/rho",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "verify"])
+@pytest.mark.parametrize("key", sorted(FAULTY_KEY))
+def test_unevaluable_coefficient_error_names_its_key(tmp_path, capsys, command, key):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(f'"{FAULTY_KEY[key]}"', '"log(rho - 2.5)"'))
+    message = f"log of a non-positive value in {key} (byte offset 0)"
+    if command == "verify":
+        grid = spheregeom.SphereGrid(8, 16)
+        solution = tmp_path / "sphere.csv"
+        write_solution_csv(solution, grid, np.full(grid.shape, 2.0))
+        assert cli.main(["verify", str(solution), str(cfg)]) == 1
+        assert f"FAIL residual: {message}" in capsys.readouterr().out.splitlines()
+    else:
+        assert cli.main([command, str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solve_stalled_at_t0_exits_3(tmp_path, capsys):
+    # |F| cannot reach 1e-17 on the round sphere: the t=0 solve fails
+    cfg = write_cfg(tmp_path, extra="[solver]\nnewton_tol = 1e-17\n")
+    assert cli.main(["solve", str(cfg)]) == 3
+    assert "continuation stalled at t=0.000000" in capsys.readouterr().out.splitlines()
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
 def test_check_missing_config_is_bad_input(tmp_path, capsys):
     code = cli.main(["check", str(tmp_path / "nope.cfg")])
     assert code == 2

@@ -24,6 +24,7 @@ from weingarten.continuation import (
     newton_solve,
 )
 from weingarten.curvop import ProblemSpec, SolverSettings, jacobian
+from weingarten.exprlang import ExprEvalError
 from weingarten.spheregeom import SphereGrid, geometry
 
 ALPHA0 = "(0.6 - 0.05*rho)/rho^2"
@@ -221,9 +222,9 @@ def test_continuation_walks_benchmark_to_t1():
     assert ts[0] == 0.0
     assert ts[-1] == 1.0
     assert all(b > a for a, b in zip(ts, ts[1:]))
-    # steps double after two successes and are capped at 0.25
-    diffs = np.diff(ts)
-    assert diffs.max() <= 0.25 + 1e-12
+    # steps double after two successes in t (the t=0 solve is not one)
+    # and are capped at 0.25
+    assert ts == pytest.approx([0.0, 0.1, 0.2, 0.4, 0.6, 0.85, 1.0], rel=0, abs=1e-12)
     for step in report.steps:
         row = step.report_row()
         assert tuple(row) == REPORT_KEYS
@@ -283,6 +284,14 @@ def test_continuation_invokes_callback_per_step():
     assert [s.t for s in seen] == [s.t for s in report.steps]
 
 
+def test_check_names_a_coefficient_that_fails_only_inside_the_shell():
+    # negative under the root only for 1.5 < rho < 2.5, where the radial
+    # slope of weighted_monotone is the first evaluation
+    spec = benchmark_spec(alpha1="sqrt((rho - 2)^2 - 0.25)/rho")
+    with pytest.raises(ExprEvalError, match="sqrt of a negative value in alpha1 "):
+        check_hypotheses(spec)
+
+
 def test_continuation_refuses_bad_coefficients():
     with pytest.raises(HypothesisError) as exc:
         continue_to_one(benchmark_spec(alpha0="0.1*rho"))
@@ -297,6 +306,26 @@ def test_continuation_stalls_with_crippled_newton():
         continue_to_one(spec)
     assert 0.0 <= exc.value.t_last < 1.0
     assert exc.value.rho_last.shape == (8, 16)
+
+
+def test_continuation_fails_fast_when_the_t0_solve_fails(monkeypatch):
+    # |F| cannot reach 1e-17 at t=0: after one Newton solve the stall is
+    # reported at t=0 with the starting sphere, and no step is recorded
+    spec = benchmark_spec(grid=SphereGrid(8, 16), solver=SolverSettings(newton_tol=1e-17))
+    solves = []
+
+    def counting_newton_solve(*args, **kwargs):
+        solves.append(args[2])
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "newton_solve", counting_newton_solve)
+    seen = []
+    with pytest.raises(ContinuationFailure) as exc:
+        continue_to_one(spec, callback=seen.append)
+    assert solves == [0.0]
+    assert exc.value.t_last == 0.0
+    assert np.array_equal(exc.value.rho_last, initial_solution(spec))
+    assert exc.value.report.steps == [] and seen == []
 
 
 def test_solve_report_serializes():
@@ -323,8 +352,11 @@ def test_monitors_name_each_violated_condition():
     assert monitors(spec, flipped)[1][1] == "support: min <X, nu> = -4.4 <= 0"
     th = spec.grid.theta[:, None]
     dented = 2.0 - 1.5 * np.exp(-((th - 1.5) ** 2 + (spec.grid.phi - 3.0) ** 2) / 0.02)
-    _, violations = monitors(spec, geometry(spec.grid, dented))
+    dented_geom = geometry(spec.grid, dented)
+    values, violations = monitors(spec, dented_geom)
     assert [line.split(":")[0] for line in violations] == ["barrier", "cone"]
+    sigma1 = dented_geom.kappa[..., 0] + dented_geom.kappa[..., 1]
+    assert values["sigma1_min"] == sigma1.min() and values["H_max"] == sigma1.max()
 
     # the solve path reports the same messages
     newton = NewtonResult(outside.rho, 0, [0.0], True, 0, None)

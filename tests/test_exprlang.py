@@ -121,6 +121,24 @@ def test_eval_errors():
         evaluate(parse("exp(1000)"), env)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1 + log(rho - 3)", "log(rho - 3) + 1", "-log(rho - 3)", "max(1, log(rho - 3))",
+     "sqrt(1.5 - rho)", "1/(rho - rho)", "exp(1000*rho)", "2^(5000*rho)"],
+)
+def test_eval_errors_name_the_key_at_any_depth(text):
+    env = env_at(2.0)
+    with pytest.raises(ExprEvalError) as exc:
+        evaluate(parse(text), env, "alpha1")
+    assert " in alpha1 (byte offset " in str(exc.value)
+    with pytest.raises(ExprEvalError) as exc:
+        radial_derivative(parse(text), env, key="phi")
+    assert " in phi (byte offset " in str(exc.value)
+    with pytest.raises(ExprEvalError) as exc:
+        evaluate(parse(text), env)
+    assert " in " not in str(exc.value)
+
+
 def test_ast_shape():
     node = parse("0.25/rho")
     assert node == Binary("/", Const(0.25), Var("rho"))

@@ -1,4 +1,4 @@
-"""Sphere grid, cross-pole padding, covariant derivatives, and the
+"""Sphere grid, cross-pole padding, finite-difference jets, and the
 extrinsic geometry of radial graphs, checked against closed forms."""
 
 import numpy as np
@@ -6,9 +6,9 @@ import pytest
 
 from weingarten.spheregeom import (
     SphereGrid,
+    _norm,
     _raw_derivatives,
-    covariant_gradient,
-    covariant_hessian,
+    _second_form_parts,
     geometry,
 )
 
@@ -86,32 +86,37 @@ def test_pad_is_smooth_for_a_global_function():
 def test_derivatives_annihilate_constants_exactly():
     for grid in sphere_grids():
         const = np.full(grid.shape, 2.7)
-        grad = covariant_gradient(grid, const)
-        hess = covariant_hessian(grid, const)
-        assert np.all(grad == 0.0)
-        assert np.all(hess == 0.0)
+        for jet in _raw_derivatives(grid, const):
+            assert np.all(jet == 0.0)
 
 
 def test_gradient_of_smooth_field():
     # f = cos(theta): D_theta f = -sin(theta), D_phi f = 0
     grid = SphereGrid(64, 128)
     field = np.broadcast_to(grid.cos_theta[:, None], grid.shape).copy()
-    grad = covariant_gradient(grid, field)
-    assert np.allclose(grad[..., 0], -np.sin(grid.theta)[:, None], atol=5e-4)
-    assert np.allclose(grad[..., 1], 0.0, atol=1e-12)
+    d_theta, d_phi, *_ = _raw_derivatives(grid, field)
+    assert np.allclose(d_theta, -np.sin(grid.theta)[:, None], atol=5e-4)
+    assert np.allclose(d_phi, 0.0, atol=1e-12)
 
 
 def test_hessian_of_smooth_field():
-    # f = cos(theta) on the unit sphere: D_i D_j f = -f * sigma_ij
+    # f = cos(theta) on the unit sphere: D_i D_j f = -f * sigma_ij.  The
+    # kernel's covariant Hessian of rho = 2 + f is read back out of its
+    # second form h = (rho / w) (-D^2 rho + rho sigma + 2 D rho D rho / rho)
     grid = SphereGrid(64, 128)
-    field = np.broadcast_to(grid.cos_theta[:, None], grid.shape).copy()
-    hess = covariant_hessian(grid, field)
+    rho = 2.0 + np.broadcast_to(grid.cos_theta[:, None], grid.shape)
+    jets = _raw_derivatives(grid, rho)
+    d_theta, d_phi = jets[:2]
+    w = _norm(grid, rho, d_theta, d_phi)
+    h_tt, h_tp, h_pp = _second_form_parts(grid, rho, jets, w)
     ct = grid.cos_theta[:, None]
     st = grid.sin_theta[:, None]
-    assert np.allclose(hess[..., 0, 0], -ct, atol=5e-4)
-    assert np.allclose(hess[..., 1, 1], -ct * st * st, atol=5e-4)
-    assert np.allclose(hess[..., 0, 1], 0.0, atol=1e-12)
-    assert np.allclose(hess[..., 1, 0], hess[..., 0, 1], rtol=0, atol=0)
+    hess_tt = rho + 2.0 * d_theta * d_theta / rho - w / rho * h_tt
+    hess_tp = 2.0 * d_theta * d_phi / rho - w / rho * h_tp
+    hess_pp = rho * st * st + 2.0 * d_phi * d_phi / rho - w / rho * h_pp
+    assert np.allclose(hess_tt, -ct, atol=5e-4)
+    assert np.allclose(hess_pp, -ct * st * st, atol=5e-4)
+    assert np.allclose(hess_tp, 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("ntheta, nphi", [(8, 16), (32, 64)])
@@ -133,59 +138,22 @@ def test_round_sphere_geometry():
         geom = geometry(grid, np.full(grid.shape, radius))
         assert np.allclose(geom.kappa, 1.0 / radius, rtol=0, atol=1e-13)
         assert np.allclose(geom.support, radius, rtol=0, atol=1e-13)
-        assert np.allclose(geom.v, 1.0, rtol=0, atol=1e-14)
-        assert np.allclose(geom.mean_curvature, 2.0 / radius, rtol=0, atol=1e-13)
-
-
-def test_round_sphere_normal_is_radial():
-    grid = SphereGrid(16, 32)
-    geom = geometry(grid, np.full(grid.shape, 2.0))
-    d1, d2, d3 = grid.directions()
-    assert np.allclose(geom.normal[..., 0], d1, rtol=0, atol=1e-14)
-    assert np.allclose(geom.normal[..., 1], d2, rtol=0, atol=1e-14)
-    assert np.allclose(geom.normal[..., 2], d3, rtol=0, atol=1e-14)
-
-
-def test_normal_is_unit_everywhere():
-    grid = SphereGrid(16, 32)
-    th = grid.theta[:, None]
-    ph = grid.phi[None, :]
-    rho = 2.0 + 0.3 * np.cos(th) + 0.1 * np.sin(th) * np.cos(ph)
-    geom = geometry(grid, rho)
-    norms = np.linalg.norm(geom.normal, axis=-1)
-    assert np.allclose(norms, 1.0, rtol=0, atol=1e-14)
 
 
 def test_support_two_ways():
-    # <X, nu> computed from the normal must match rho/v
+    # <X, nu>, with the unit normal nu of the reference formulas, must
+    # match rho/v
     grid = SphereGrid(16, 32)
     th = grid.theta[:, None]
     ph = grid.phi[None, :]
     rho = 2.0 + 0.3 * np.cos(th) + 0.1 * np.sin(th) * np.cos(ph)
     geom = geometry(grid, rho)
+    reference = reference_geometry(grid, rho)
+    normal = reference["normal"]
     d1, d2, d3 = grid.directions()
-    dot = rho * (
-        d1 * geom.normal[..., 0]
-        + d2 * geom.normal[..., 1]
-        + d3 * geom.normal[..., 2]
-    )
+    dot = rho * (d1 * normal[..., 0] + d2 * normal[..., 1] + d3 * normal[..., 2])
     assert np.allclose(dot, geom.support, rtol=1e-13, atol=1e-13)
-    assert np.allclose(geom.support, rho / geom.v, rtol=1e-13, atol=0)
-
-
-def test_metric_against_closed_form():
-    grid = SphereGrid(32, 64)
-    th = grid.theta[:, None]
-    rho = np.broadcast_to(2.0 + 0.1 * np.cos(th), grid.shape).copy()
-    geom = geometry(grid, rho)
-    grad = covariant_gradient(grid, rho)
-    st = grid.sin_theta[:, None]
-    g_tt = rho * rho + grad[..., 0] ** 2
-    g_pp = rho * rho * st * st + grad[..., 1] ** 2
-    g_tp = grad[..., 0] * grad[..., 1]
-    assert np.allclose(geom.metric[..., 0, 0], g_tt, rtol=1e-14, atol=0)
-    assert np.allclose(geom.metric[..., 1, 1], g_pp, rtol=1e-14, atol=0)
-    assert np.allclose(geom.metric[..., 0, 1], g_tp, rtol=0, atol=1e-14)
+    assert np.allclose(geom.support, rho / reference["v"], rtol=1e-13, atol=0)
 
 
 def test_phi_shift_equivariance_is_exact():
@@ -200,7 +168,8 @@ def test_phi_shift_equivariance_is_exact():
     b = geometry(grid, rolled)
     assert np.array_equal(b.kappa, np.roll(a.kappa, 1, axis=1))
     assert np.array_equal(b.support, np.roll(a.support, 1, axis=1))
-    assert np.array_equal(b.second_form, np.roll(a.second_form, 1, axis=1))
+    for got, want in zip(b.jets, a.jets):
+        assert np.array_equal(got, np.roll(want, 1, axis=1))
 
 
 def test_kappa_is_sorted_ascending():
@@ -213,8 +182,9 @@ def test_kappa_is_sorted_ascending():
 
 
 def reference_geometry(grid, rho):
-    """Every geometry field by one out-of-place formula each, in the
-    kernel's order of operations, with all intermediates kept."""
+    """kappa and support by one out-of-place formula per step, in the
+    kernel's order of operations, with all intermediates kept; also v and
+    the unit normal, which the kernel does not build."""
     d_theta, d_phi, d_tt, d_tp, d_pp = _raw_derivatives(grid, rho)
     st = grid.sin_theta[:, None]
     ct = grid.cos_theta[:, None]
@@ -269,17 +239,7 @@ def reference_geometry(grid, rho):
     grad_vec = d_theta[..., None] * e_theta + (d_phi / st)[..., None] * e_phi
     normal = (rho[..., None] * e_rho - grad_vec) / w_normal[..., None]
 
-    def sym2(xx, xy, yy):
-        return np.stack([np.stack([xx, xy], -1), np.stack([xy, yy], -1)], -2)
-
-    return {
-        "kappa": kappa,
-        "support": support,
-        "v": v,
-        "metric": sym2(g_tt, g_tp, g_pp),
-        "second_form": sym2(h_tt, h_tp, h_pp),
-        "normal": normal,
-    }
+    return {"kappa": kappa, "support": support, "v": v, "normal": normal}
 
 
 def test_geometry_is_bit_identical_to_reference_formulas():
@@ -295,8 +255,9 @@ def test_geometry_is_bit_identical_to_reference_formulas():
         + 1e-3 * rng.normal(size=grid.shape)
     )
     geom = geometry(grid, rho)
-    for name, want in reference_geometry(grid, rho).items():
-        assert np.array_equal(getattr(geom, name), want), name
+    reference = reference_geometry(grid, rho)
+    for name in ("kappa", "support"):
+        assert np.array_equal(getattr(geom, name), reference[name]), name
 
 
 def test_geometry_rejects_nonpositive_radius():
