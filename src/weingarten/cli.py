@@ -6,10 +6,11 @@ Only `solve` loads scipy, for the sparse Jacobian and its LU; `check`,
 Exit codes: 0 success, 1 hypothesis or verification failure, 2 unusable
 input (missing files, malformed config or solution, a coefficient that
 cannot be evaluated), 3 continuation failure, a failed t=0 solve
-included.  `verify` reports a coefficient it cannot evaluate on the
-stored surface as a failed residual.  No environment variable is read:
-to cap the BLAS thread pools, export OPENBLAS_NUM_THREADS /
-OMP_NUM_THREADS before the process starts.
+included, printed with the reason the last solve failed.  `verify`
+reports a coefficient it cannot evaluate on the stored surface as a
+failed residual.  No environment variable is read: to cap the BLAS
+thread pools, export OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the
+process starts.
 """
 
 from __future__ import annotations
@@ -88,6 +89,7 @@ def cmd_solve(args):
         return EXIT_FAILED
     except ContinuationFailure as err:
         print(f"continuation stalled at t={err.t_last:.6f}")
+        print(f"last failed solve: {err.reason}")
         return EXIT_STALLED
 
     cfg.outdir.mkdir(parents=True, exist_ok=True)

@@ -5,7 +5,7 @@ expression language; everything else is plain key = value."""
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .curvop import ProblemSpec, SolverSettings
@@ -17,6 +17,15 @@ __all__ = ["ConfigError", "RunConfig", "load_config"]
 
 class ConfigError(ValueError):
     """Unusable configuration file."""
+
+
+#: the keys each section may hold; [problem] also holds alpha0..alpha{k-1}
+KEYS = {
+    "problem": {"k", "n", "r1", "r2", "phi"},
+    "grid": {"ntheta", "nphi"},
+    "solver": {field.name for field in fields(SolverSettings)},
+    "output": {"directory", "csv", "mesh", "report", "verbosity"},
+}
 
 
 @dataclass
@@ -61,8 +70,9 @@ def _get_bool(section, key, default):
 def load_config(path):
     """Parse a configuration file into a RunConfig.
 
-    Raises ConfigError on missing files, unparseable expressions, grid
-    sizes outside the supported range, or malformed values.
+    Raises ConfigError on missing files, unknown sections or keys,
+    unparseable expressions, grid sizes outside the supported range, or
+    malformed values.
     """
     path = Path(path)
     if not path.is_file():
@@ -85,6 +95,17 @@ def load_config(path):
     output = parser["output"]
 
     k = _get(problem, "k", int, default=2)
+    # a name the run would not read is most likely misspelled
+    if parser.defaults():
+        raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
+    for name in parser.sections():
+        if name not in KEYS:
+            raise ConfigError(f"unknown section [{name}] in {path}")
+        known = KEYS[name] | {f"alpha{l}" for l in range(k) if name == "problem"}
+        for key in parser[name]:
+            if key not in known:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
+
     n = _get(problem, "n", int, default=2)
     r1 = _get(problem, "r1", float)
     r2 = _get(problem, "r2", float)
@@ -114,14 +135,11 @@ def load_config(path):
         raise ConfigError(f"bad grid: {err}") from err
 
     try:
-        settings = SolverSettings(
-            newton_tol=_get(solver_sec, "newton_tol", float, default=1e-10),
-            newton_max_iter=_get(solver_sec, "newton_max_iter", int, default=50),
-            max_backtracks=_get(solver_sec, "max_backtracks", int, default=8),
-            t_step_initial=_get(solver_sec, "t_step_initial", float, default=0.1),
-            t_step_max=_get(solver_sec, "t_step_max", float, default=0.25),
-            t_step_min=_get(solver_sec, "t_step_min", float, default=1e-4),
-        )
+        # each setting is read as the type of its default
+        settings = SolverSettings(**{
+            field.name: _get(solver_sec, field.name, type(field.default), field.default)
+            for field in fields(SolverSettings)
+        })
         spec = ProblemSpec(
             k=k, n=n, r1=r1, r2=r2, alphas=tuple(alphas), phi=phi,
             grid=grid, solver=settings,

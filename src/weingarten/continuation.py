@@ -39,7 +39,8 @@ __all__ = [
     "continue_to_one",
 ]
 
-MIN_SAMPLES = 16
+#: radius samples per shell band; the full band [r1/2, 2 r2] gets twice as many
+SAMPLES = 48
 # Tolerance for non-strict hypothesis margins; absorbs finite-difference
 # rounding when the true margin is exactly zero.
 MARGIN_SLACK = 1e-10
@@ -82,13 +83,15 @@ class ConeExitError(RuntimeError):
 
 
 class ContinuationFailure(RuntimeError):
-    """Homotopy steps shrank below the minimum before reaching t=1."""
+    """Homotopy steps shrank below the minimum before reaching t=1;
+    `reason` says why the last attempted solve failed."""
 
-    def __init__(self, t_last, rho_last, report):
+    def __init__(self, t_last, rho_last, report, reason):
         super().__init__(f"continuation stalled at t={t_last:.6f}")
         self.t_last = t_last
         self.rho_last = rho_last
         self.report = report
+        self.reason = reason
 
 
 @dataclass
@@ -193,8 +196,8 @@ def _worst(values, env):
     return float(values.ravel()[idx]), _location(rho, *direction)
 
 
-def check_hypotheses(spec, samples=48):
-    """Certify the coefficient data of a problem on sampled shells.
+def check_hypotheses(spec):
+    """Certify the coefficient data of a problem on SAMPLES radii per shell.
 
     Checks, each on a radius band times a direction lattice:
       shell_outer: sigma_k(e)/rho^k >= sum_l alpha_l sigma_l(e)/rho^l
@@ -205,17 +208,15 @@ def check_hypotheses(spec, samples=48):
       profile_positive / _above_one_inside / _below_one_outside /
       _decreasing: the shape conditions on the deformation profile.
     """
-    if samples < MIN_SAMPLES:
-        raise ValueError(f"samples={samples} below minimum {MIN_SAMPLES}")
     k, n = spec.k, spec.n
     r1, r2 = spec.r1, spec.r2
     dirs = _direction_lattice()
     sig_e = [math.comb(n, j) for j in range(n + 1)]
 
-    band_outer = np.linspace(r2, 2.0 * r2, samples)
-    band_inner = np.linspace(0.5 * r1, r1, samples)
-    band_shell = np.linspace(r1, r2, samples)
-    band_full = np.linspace(0.5 * r1, 2.0 * r2, 2 * samples)
+    band_outer = np.linspace(r2, 2.0 * r2, SAMPLES)
+    band_inner = np.linspace(0.5 * r1, r1, SAMPLES)
+    band_shell = np.linspace(r1, r2, SAMPLES)
+    band_full = np.linspace(0.5 * r1, 2.0 * r2, 2 * SAMPLES)
 
     entries = {}
 
@@ -525,7 +526,7 @@ def _record_step(spec, rho, t, newton, wall_ms):
     )
 
 
-def continue_to_one(spec, samples=48, callback=None):
+def continue_to_one(spec, callback=None):
     """Walk the homotopy from the round-sphere problem to the target one.
 
     Refuses to run when the hypothesis check fails (HypothesisError).  The
@@ -533,13 +534,15 @@ def continue_to_one(spec, samples=48, callback=None):
     there aborts with ContinuationFailure at once.  Later steps in t start
     at t_step_initial, halve after a failed step, double after two
     consecutive accepted steps (capped at t_step_max), and a step below
-    t_step_min aborts with ContinuationFailure.  Each step is corrected by
-    chord Newton (`newton_solve`) starting from the kept LU of the last
-    accepted step, so a Jacobian is built and factorized only when the
-    reused one stops contracting.  Returns the final field and a
-    SolveReport with one row per accepted step, the t=0 solve included.
+    t_step_min aborts with ContinuationFailure, whose `reason` is the
+    Newton error or non-convergence of the last failed solve.  Each step
+    is corrected by chord Newton (`newton_solve`) starting from the kept
+    LU of the last accepted step, so a Jacobian is built and factorized
+    only when the reused one stops contracting.  Returns the final field
+    and a SolveReport with one row per accepted step, the t=0 solve
+    included.
     """
-    hypothesis = check_hypotheses(spec, samples=samples)
+    hypothesis = check_hypotheses(spec)
     if not hypothesis.passed:
         raise HypothesisError(hypothesis)
 
@@ -554,16 +557,19 @@ def continue_to_one(spec, samples=48, callback=None):
         begin = time.perf_counter()
         try:
             newton = newton_solve(spec, rho, target, lu=lu)
-            ok = newton.converged
-        except (StagnationError, ConeExitError):
-            ok = False
+            reason = None if newton.converged else (
+                f"not converged after {newton.iterations} iterations "
+                f"(t={target:.4f}, |F|={newton.residual_norms[-1]:.3e})"
+            )
+        except (StagnationError, ConeExitError) as err:
+            reason = f"{type(err).__name__}: {err}"
         wall_ms = 1e3 * (time.perf_counter() - begin)
 
-        if not ok:
+        if reason is not None:
             consecutive = 0
             dt *= 0.5
             if not steps or dt < settings.t_step_min:
-                raise ContinuationFailure(t, rho, SolveReport(steps, hypothesis))
+                raise ContinuationFailure(t, rho, SolveReport(steps, hypothesis), reason)
         else:
             rho = newton.rho
             lu = newton.lu

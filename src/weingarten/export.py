@@ -11,14 +11,15 @@ is formatted in one step through a template: the OBJ templates are a
 line repeated per vertex or face of the ring; the CSV template holds the
 ring's theta and each phi, formatted once, so only rho is formatted per
 node.  The reader streams the CSV body line by line into numpy's C text
-parser, which rounds like ``float()``.  It keeps the theta and phi fields
-as text and converts each distinct text once: a lattice of N nodes has
-N thetas and N phis but only ntheta + nphi distinct values, and correctly
-rounded decimal conversion is the costly part of a read.
+parser, which rounds like ``float()``.  It converts only rho when the
+theta and phi fields are, byte for byte, the texts the writer prints for
+the grid; any other file, such as one another tool wrote with other
+digits, goes through a parse that converts every value, twice as slow.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -47,11 +48,9 @@ OBJ_FACE = "f %d %d %d\n"
 CHUNK = 1 << 16
 #: a whitespace-only line, with the newline that ends the line before it
 _BLANK_LINE = re.compile(r"\n[^\S\n]*\n")
-#: bytes kept of each theta or phi text; every %.17g value needs at most 24
-TEXT_WIDTH = 24
-TEXT_ROWS = np.dtype(
-    [("theta", f"S{TEXT_WIDTH}"), ("phi", f"S{TEXT_WIDTH}"), ("rho", "f8")]
-)
+#: theta and phi kept as text, rho converted; a lattice node prints in at
+#: most 21 bytes, so no field cut to 24 bytes matches one
+TEXT_ROWS = np.dtype([("theta", "S24"), ("phi", "S24"), ("rho", "f8")])
 
 
 class SolutionFormatError(ValueError):
@@ -122,81 +121,63 @@ def _load_body(path, dtype, ndmin):
         )
 
 
-def _changed(texts, ring):
-    """Mask of the rows whose text differs from the row `ring` rows up,
-    or that have no row there."""
-    changed = np.ones(texts.size, dtype=bool)
-    changed[ring:] = texts[ring:] != texts[:-ring]
-    return changed
-
-
-def _spread(values, changed, ring):
-    """The column whose `changed` rows hold `values` in turn and whose
-    other rows repeat the row `ring` rows up; `ring` divides its size."""
-    # each row's index into `values`, then the latest changed one above it
-    index = np.cumsum(changed)
-    index -= 1
-    index[~changed] = 0
-    rings = index.reshape(-1, ring)
-    np.maximum.accumulate(rings, axis=0, out=rings)
-    return values[index]
-
-
-def _text_columns(path):
-    """theta, phi and rho columns of the CSV at `path` and the converted
-    theta and phi values, which hold every distinct value of each column.
-
-    Returns None where this cannot be exact: a field that fills
-    TEXT_WIDTH may have been cut, and any text the bytes parse or the
-    conversion refuses is left to the whole-row float parse to judge.
-    """
+def _lattice_rows(path):
+    """(grid, rho) of the CSV at `path` if its theta and phi fields are,
+    byte for byte, the texts `write_solution_csv` prints for the grid its
+    first ring implies and every rho is finite; else None."""
     try:
         table = _load_body(path, TEXT_ROWS, 1)
-    except (SolutionFormatError, UnicodeDecodeError):
-        raise
+        # a ring is the first run of one theta text
+        theta = table["theta"]
+        nphi = int(np.argmax(theta != theta[0])) or table.size
+        grid = SphereGrid(table.size // nphi, nphi)
+        # raises ValueError unless the rings fill the grid
+        rows = table.reshape(grid.shape)
     except ValueError:
         return None
-    # the last byte of each text field: not NUL if the text may be cut
-    raw = table.view(np.uint8).reshape(table.size, TEXT_ROWS.itemsize)
-    ends = [TEXT_ROWS.fields[name][1] + TEXT_WIDTH - 1 for name in ("theta", "phi")]
-    if raw[:, ends].any():
-        return None
 
-    theta_texts, phi_texts = table["theta"], table["phi"]
-    theta_changed = _changed(theta_texts, 1)
-    # a ring is the first run of one theta text; if the rings cannot all
-    # be that long, every phi is converted
-    starts = np.flatnonzero(theta_changed)
-    ring = int(starts[1]) if starts.size > 1 else table.size
-    if table.size % ring:
-        ring = table.size
-    phi_changed = _changed(phi_texts, ring)
-    # numpy stored each text in latin-1, so decoding gives back the very
-    # field text that the whole-row parse would convert
-    texts = [*theta_texts[theta_changed], *phi_texts[phi_changed]]
-    line = ",".join(text.decode("latin-1") for text in texts)
-    try:
-        values = np.loadtxt([line], delimiter=",", comments=None, ndmin=1)
-    except ValueError:
+    thetas, phis = (
+        np.array([NUMBER % x for x in nodes.tolist()], dtype=theta.dtype)
+        for nodes in (grid.theta, grid.phi)
+    )
+    if not (
+        (rows["theta"] == thetas[:, None]).all()
+        and (rows["phi"] == phis).all()
+        and np.isfinite(rows["rho"]).all()
+    ):
         return None
-    theta_values = values[: starts.size]
-    phi_values = values[starts.size :]
-
-    theta = _spread(theta_values, theta_changed, 1)
-    phi = _spread(phi_values, phi_changed, ring)
     # a copy, so that the parsed table is freed on return
-    rho = table["rho"].copy()
-    return (theta, phi, rho), theta_values, phi_values
+    return grid, rows["rho"].copy()
 
 
-def _float_columns(path):
-    """`_text_columns` through the whole-row float parse, which converts
-    every value, so the full columns are the converted values."""
+def _float_rows(path):
+    """(grid, rho) of the CSV at `path` through the whole-row float parse,
+    which converts every value and checks finiteness, the lattice up to
+    the print precision and the theta-major row order."""
     data = _load_body(path, float, 2)
     if data.shape[1] != 3:
         raise SolutionFormatError("expected rows of theta,phi,rho")
-    theta, phi = data[:, 0], data[:, 1]
-    return (theta, phi, data[:, 2].copy()), theta, phi
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise SolutionFormatError(
+            f"non-finite value in {path}, row {row + 1}: "
+            f"theta,phi,rho = {data[row].tolist()}"
+        )
+    thetas, phis = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if thetas.size * phis.size != len(data):
+        raise SolutionFormatError("rows do not form a full theta x phi lattice")
+    try:
+        grid = SphereGrid(thetas.size, phis.size)
+    except ValueError as err:
+        raise SolutionFormatError(f"unsupported lattice: {err}") from err
+    near = functools.partial(np.allclose, rtol=0, atol=1e-12)
+    if not (near(thetas, grid.theta) and near(phis, grid.phi)):
+        raise SolutionFormatError("node lattice is not a staggered grid")
+    rows = data.reshape(*grid.shape, 3)
+    if not (near(rows[..., 0], grid.theta[:, None]) and near(rows[..., 1], grid.phi)):
+        raise SolutionFormatError("rows are not in theta-major order")
+    return grid, rows[..., 2].copy()
 
 
 def read_solution_csv(path):
@@ -212,45 +193,13 @@ def read_solution_csv(path):
     if not path.is_file():
         raise SolutionFormatError(f"no such solution file: {path}")
     try:
-        parsed = _text_columns(path) or _float_columns(path)
+        return _lattice_rows(path) or _float_rows(path)
     except UnicodeDecodeError as err:
         raise SolutionFormatError(f"{path} is not UTF-8 text: {err}") from err
     except SolutionFormatError:
         raise
     except ValueError as err:
         raise SolutionFormatError(f"bad row in {path}: {err}") from err
-    (theta, phi, rho), theta_values, phi_values = parsed
-    finite = np.isfinite(theta) & np.isfinite(phi) & np.isfinite(rho)
-    if not finite.all():
-        row = int(np.argmin(finite))
-        bad = [float(theta[row]), float(phi[row]), float(rho[row])]
-        raise SolutionFormatError(
-            f"non-finite value in {path}, row {row + 1}: theta,phi,rho = {bad}"
-        )
-
-    thetas = np.unique(theta_values)
-    phis = np.unique(phi_values)
-    ntheta, nphi = thetas.size, phis.size
-    if ntheta * nphi != rho.size:
-        raise SolutionFormatError("rows do not form a full theta x phi lattice")
-    try:
-        grid = SphereGrid(ntheta, nphi)
-    except ValueError as err:
-        raise SolutionFormatError(f"unsupported lattice: {err}") from err
-    if not (
-        np.allclose(thetas, grid.theta, rtol=0, atol=1e-12)
-        and np.allclose(phis, grid.phi, rtol=0, atol=1e-12)
-    ):
-        raise SolutionFormatError("node lattice is not a staggered grid")
-
-    expect_theta = np.repeat(grid.theta, nphi)
-    expect_phi = np.tile(grid.phi, ntheta)
-    if not (
-        np.allclose(theta, expect_theta, rtol=0, atol=1e-12)
-        and np.allclose(phi, expect_phi, rtol=0, atol=1e-12)
-    ):
-        raise SolutionFormatError("rows are not in theta-major order")
-    return grid, rho.reshape(ntheta, nphi)
 
 
 def write_obj(path, grid, rho):

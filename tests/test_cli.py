@@ -12,6 +12,8 @@ import pytest
 import weingarten
 from weingarten import cli, spheregeom
 from weingarten.config import ConfigError, load_config
+from weingarten.curvop import SolverSettings
+from weingarten.exprlang import parse, to_text
 from weingarten.export import read_solution_csv, write_solution_csv
 
 BENCHMARK = """\
@@ -94,6 +96,46 @@ def test_load_config_rejects_bad_boolean(tmp_path):
     body += "csv = maybe\n"
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, body=body))
+
+
+# names the run would not read: a misspelled key or section, keys in
+# [DEFAULT], and an alpha past alpha{k-1}
+UNKNOWN_NAMES = {
+    "misspelled-key": ("[solver]\nnewton_tl = 1e-30\n", "unknown key 'newton_tl' in [solver]"),
+    "misspelled-section": ("[solvr]\nnewton_tol = 1e-30\n", "unknown section [solvr] in {cfg}"),
+    "default-section": ("[DEFAULT]\nverbosity = 0\n", "unknown section [DEFAULT] in {cfg}"),
+    "alpha-past-k": ("", "unknown key 'alpha1' in [problem]"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("case", sorted(UNKNOWN_NAMES))
+def test_unknown_config_name_is_bad_input(tmp_path, capsys, command, case):
+    extra, message = UNKNOWN_NAMES[case]
+    cfg = write_cfg(tmp_path, extra=extra)
+    if case == "alpha-past-k":
+        cfg.write_text(cfg.read_text().replace("k = 2", "k = 1"))
+    assert cli.main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_example_loads_with_the_defaults(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = load_config(write_cfg(tmp_path, body=block))
+    spec = cfg.problem
+    assert (spec.k, spec.n, spec.r1, spec.r2) == (2, 2, 1.0, 4.0)
+    assert [to_text(alpha) for alpha in spec.alphas] == [
+        to_text(parse("(0.6 - 0.05*rho)/rho^2")), to_text(parse("0.25/rho"))
+    ]
+    assert to_text(spec.phi) == to_text(parse("2.5/rho"))
+    # the example shows the default of every optional key
+    assert spec.grid.shape == (32, 64)
+    assert spec.solver == SolverSettings()
+    assert cfg.outdir == tmp_path / "out"
+    assert cfg.write_csv and cfg.write_mesh and cfg.write_report
+    assert cfg.verbosity == 1
 
 
 def test_check_passes_on_benchmark(tmp_path, capsys):
@@ -179,6 +221,16 @@ def test_solve_stalled_at_t0_exits_3(tmp_path, capsys):
     assert cli.main(["solve", str(cfg)]) == 3
     assert "continuation stalled at t=0.000000" in capsys.readouterr().out.splitlines()
     assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_solve_stall_says_why(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, extra="[solver]\nnewton_tol = 1e-17\n")
+    assert cli.main(["solve", str(cfg)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    stalled = lines.index("continuation stalled at t=0.000000")
+    assert lines[stalled + 1].startswith(
+        "last failed solve: StagnationError: no residual decrease after 8 halvings"
+    )
 
 
 def test_check_missing_config_is_bad_input(tmp_path, capsys):

@@ -136,11 +136,6 @@ def test_hypothesis_report_serializes():
     assert "shell_outer" in text and "pass" in text
 
 
-def test_check_hypotheses_rejects_too_few_samples():
-    with pytest.raises(ValueError):
-        check_hypotheses(benchmark_spec(), samples=8)
-
-
 def test_initializer_finds_round_sphere_root():
     rho0 = initial_solution(benchmark_spec())
     assert rho0.shape == (16, 32)
@@ -306,6 +301,7 @@ def test_continuation_stalls_with_crippled_newton():
         continue_to_one(spec)
     assert 0.0 <= exc.value.t_last < 1.0
     assert exc.value.rho_last.shape == (8, 16)
+    assert exc.value.reason.startswith("not converged after 1 iterations")
 
 
 def test_continuation_fails_fast_when_the_t0_solve_fails(monkeypatch):

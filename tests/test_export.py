@@ -160,7 +160,7 @@ MALFORMED = {
     "inf": lambda lines: _replace_rho(lines, "inf"),
     "minus-inf": lambda lines: _replace_rho(lines, "-inf"),
     "overflow": lambda lines: _replace_rho(lines, "1e400"),
-    # 125 rows: no ring length divides them, so every phi is converted
+    # 125 rows: no ring length divides them
     "truncated": lambda lines: lines[:-3],
     "nul-in-theta": lambda lines: _edit_field(lines, 5, 0, lambda t: t[:3] + "\0" + t[3:]),
     "nul-ending-theta": lambda lines: _edit_field(lines, 5, 0, lambda t: t + "\0"),
@@ -242,21 +242,56 @@ def test_csv_accepts_layout_variants(tmp_path, case):
     assert np.array_equal(reference_read(path)[1], rho)
 
 
-@pytest.mark.parametrize("shape", [(8, 16), (6, 12), (4, 8)], ids=["8x16", "6x12", "4x8"])
-def test_reader_converts_each_lattice_text_once(tmp_path, shape):
-    grid = SphereGrid(*shape)
-    path = tmp_path / "solution.csv"
-    write_solution_csv(path, grid, bumpy_field(grid))
-    (theta, phi, _), thetas, phis = export._text_columns(path)
-    assert np.array_equal(thetas, grid.theta)
-    assert np.array_equal(phis, grid.phi)
-    assert np.array_equal(theta, np.repeat(grid.theta, grid.nphi))
-    assert np.array_equal(phi, np.tile(grid.phi, grid.ntheta))
+def test_reader_recognizes_written_lattice(tmp_path):
+    # files from the writer, or printed one line per node with .17g, are
+    # read by matching their theta and phi texts
+    for shape in [(8, 16), (6, 12), (4, 8)]:
+        grid = SphereGrid(*shape)
+        rho = bumpy_field(grid)
+        written = tmp_path / "written.csv"
+        write_solution_csv(written, grid, rho)
+        by_line = tmp_path / "by_line.csv"
+        by_line.write_text(reference_csv(grid, rho))
+        for path in (written, by_line):
+            lattice, rho2 = export._lattice_rows(path)
+            assert lattice.shape == grid.shape
+            assert np.array_equal(rho2, rho)
+
+    # other texts of the same values are left to the parse of every value
+    grid = SphereGrid(8, 16)
+    rho = bumpy_field(grid)
+    write_solution_csv(written, grid, rho)
+    text = written.read_text()
+    header, *rows = text.splitlines()
+    other = {
+        "repr-theta": "\n".join(
+            [header] + [f"{float(t)!r},{rest}" for t, rest in (r.split(",", 1) for r in rows)]
+        ) + "\n",
+        "25-byte-theta": _edit_text(text, 5, 0, lambda t: t.zfill(25)),
+    }
+    assert len(other["25-byte-theta"].split("\n")[5].split(",")[0]) == 25
+    for name, body in other.items():
+        assert body != text
+        path = tmp_path / f"{name}.csv"
+        path.write_text(body)
+        assert export._lattice_rows(path) is None
+        lattice, rho2 = read_solution_csv(path)
+        assert lattice.shape == grid.shape
+        assert np.array_equal(rho2, rho)
+
+    # two nodes of one ring swapped: every theta text still matches
+    lines = text.splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    path = tmp_path / "swapped.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert export._lattice_rows(path) is None
+    with pytest.raises(SolutionFormatError, match="theta-major order"):
+        read_solution_csv(path)
 
 
 # Peak Python-heap bytes of one call, in units of one float64 grid field.
 # Measured at 128x256: write_obj 3.5, write_solution_csv 0.3 and
-# read_solution_csv 11.6; a writer that formats the whole grid at once
+# read_solution_csv 10.0; a writer that formats the whole grid at once
 # takes 27-62, a reader that holds every line 23-27.
 HEAP_BOUNDS = {"write_obj": 6, "write_solution_csv": 2, "read_solution_csv": 16}
 
