@@ -242,24 +242,29 @@ def test_csv_accepts_layout_variants(tmp_path, case):
     assert np.array_equal(reference_read(path)[1], rho)
 
 
-def test_reader_recognizes_written_lattice(tmp_path):
+@pytest.mark.parametrize("shape", [(8, 16), (6, 12), (4, 8)], ids=["8x16", "6x12", "4x8"])
+def test_reader_converts_each_lattice_text_once(tmp_path, shape):
     # files from the writer, or printed one line per node with .17g, are
-    # read by matching their theta and phi texts
-    for shape in [(8, 16), (6, 12), (4, 8)]:
-        grid = SphereGrid(*shape)
-        rho = bumpy_field(grid)
-        written = tmp_path / "written.csv"
-        write_solution_csv(written, grid, rho)
-        by_line = tmp_path / "by_line.csv"
-        by_line.write_text(reference_csv(grid, rho))
-        for path in (written, by_line):
-            lattice, rho2 = export._lattice_rows(path)
-            assert lattice.shape == grid.shape
-            assert np.array_equal(rho2, rho)
+    # read by matching their theta and phi texts to the lattice's nodes
+    grid = SphereGrid(*shape)
+    rho = bumpy_field(grid)
+    written = tmp_path / "written.csv"
+    write_solution_csv(written, grid, rho)
+    by_line = tmp_path / "by_line.csv"
+    by_line.write_text(reference_csv(grid, rho))
+    for path in (written, by_line):
+        lattice, rho2 = export._lattice_rows(path)
+        assert lattice.shape == grid.shape
+        assert np.array_equal(lattice.theta, grid.theta)
+        assert np.array_equal(lattice.phi, grid.phi)
+        assert np.array_equal(rho2, rho)
 
+
+def test_reader_leaves_other_lattice_texts_to_the_full_parse(tmp_path):
     # other texts of the same values are left to the parse of every value
     grid = SphereGrid(8, 16)
     rho = bumpy_field(grid)
+    written = tmp_path / "written.csv"
     write_solution_csv(written, grid, rho)
     text = written.read_text()
     header, *rows = text.splitlines()
