@@ -5,8 +5,9 @@ curvatures satisfy a prescribed relation between elementary symmetric
 functions, by a homotopy from a round-sphere problem driven with damped
 Newton steps.  Modules: symmfunc (symmetric-function algebra), exprlang
 (coefficient expressions), spheregeom (radial-graph geometry), curvop
-(operator, residual, Jacobian), continuation (certification and homotopy
-driving), config/export/cli (runs and files).
+(operator, residual, Jacobian), linsolve (preconditioned GMRES for the
+Newton steps), continuation (certification and homotopy driving),
+config/export/cli (runs and files).
 """
 
 from .config import ConfigError, RunConfig, load_config

@@ -1,7 +1,7 @@
 """Command line entry points: check, solve, verify, export.
 
-Only `solve` loads scipy, for the sparse Jacobian and its LU; `check`,
-`verify` and `export` need numpy alone and skip scipy's import time.
+Every command runs on numpy alone, `solve` included: its Newton steps
+are solved by GMRES with a ring-mean FFT preconditioner (`linsolve`).
 
 Exit codes: 0 success, 1 hypothesis or verification failure, 2 unusable
 input (missing files, malformed config or solution, a coefficient that

@@ -4,9 +4,11 @@ The solve path is: certify the coefficient data (barrier inequalities at
 the shell radii, monotone weighted coefficients, positivity, deformation
 profile shape), start from the round sphere the profile singles out, and
 walk the homotopy parameter t from 0 to 1 with adaptive steps, each step
-accepted only when a chord Newton iteration (one sparse LU kept across
-iterations and steps, refactorized when it stops contracting) converges
-while staying in the admissible cone.
+accepted only when a chord Newton iteration converges while staying in
+the admissible cone.  Its linear solves run GMRES on one Jacobian,
+preconditioned by that Jacobian's ring-mean FFT solve (`linsolve`, bound
+here as `spla`); both are kept across iterations and steps and rebuilt
+when they stop contracting.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linsolve as spla
 from .curvop import AdmissibilityError, jacobian, residual_field
 from .exprlang import Binary, Const, EvalEnv, Var, evaluate, radial_derivative
 from .spheregeom import geometry
@@ -44,22 +47,10 @@ SAMPLES = 48
 # Tolerance for non-strict hypothesis margins; absorbs finite-difference
 # rounding when the true margin is exactly zero.
 MARGIN_SLACK = 1e-10
-# Newton keeps its LU while each step cuts the residual max-norm at least
-# by this factor; a slower step triggers a fresh Jacobian and LU.
+# Newton keeps its Jacobian while each step cuts the residual max-norm at
+# least by this factor; a slower step triggers a fresh Jacobian and
+# preconditioner.
 CONTRACTION_LIMIT = 0.5
-
-
-class _SparseLinalg:
-    """`scipy.sparse.linalg`, imported when Newton first reads from it, so
-    that only `solve` pays for loading scipy."""
-
-    def __getattr__(self, name):
-        import scipy.sparse.linalg
-
-        return getattr(scipy.sparse.linalg, name)
-
-
-spla = _SparseLinalg()
 
 
 class HypothesisError(RuntimeError):
@@ -327,9 +318,10 @@ def initial_solution(spec):
 
 @dataclass
 class NewtonResult:
-    """Outcome of one corrector solve.  `lu` is the Jacobian LU (a
-    `scipy.sparse.linalg.SuperLU`) the solve ended with, for the next
-    solve to reuse; None if it never had one."""
+    """Outcome of one corrector solve.  `lu` is the Jacobian and its
+    preconditioner (a `linsolve.RingMeanSolver`) the solve ended with, for
+    the next solve to reuse; None if it never had one.  `factorizations`
+    counts preconditioner builds, `linear_iters` GMRES iterations."""
 
     rho: np.ndarray
     iterations: int
@@ -337,19 +329,21 @@ class NewtonResult:
     converged: bool
     factorizations: int
     lu: object
+    linear_iters: int = 0
 
 
 def newton_solve(spec, rho0, t, lu=None):
     """Chord Newton on the nodal radii at fixed homotopy time t.
 
-    Each step solves J delta = -F with a kept sparse LU of the Jacobian
-    (`splu`, MMD ordering on A^T + A).  The LU is rebuilt at the current
-    iterate only when there is none yet (`lu`, e.g. from the previous
-    continuation step, is used first), when the last accepted step
-    backtracked, or when the residual max-norm fell by less than the
-    factor CONTRACTION_LIMIT.  A step with a reused LU tries the full step
-    once; if that iterate is inadmissible or does not decrease the
-    residual, the same iterate is retried with a fresh LU.  A fresh-LU
+    Each step solves J delta = -F by GMRES with a kept Jacobian and its
+    ring-mean preconditioner (`spla.splu`, see `linsolve`), to the
+    relative forcing `linsolve.GMRES_RTOL`.  Both are rebuilt at the
+    current iterate only when there are none yet (`lu`, e.g. from the
+    previous continuation step, is used first), when the last accepted
+    step backtracked, or when the residual max-norm fell by less than the
+    factor CONTRACTION_LIMIT.  A step with a reused Jacobian tries the
+    full step once; if that iterate is inadmissible or does not decrease
+    the residual, the same iterate is retried with a fresh one.  A fresh
     step backtracks by halving until the trial iterate is admissible and
     the residual strictly decreases, and raises StagnationError or
     ConeExitError when it cannot.  Stops at newton_tol or after
@@ -362,6 +356,7 @@ def newton_solve(spec, rho0, t, lu=None):
     norms = [float(np.abs(res).max())]
     iterations = 0
     factorizations = 0
+    linear_iters = 0
     backtracked = False
 
     while norms[-1] > settings.newton_tol and iterations < settings.newton_max_iter:
@@ -377,11 +372,12 @@ def newton_solve(spec, rho0, t, lu=None):
                 raise ConeExitError(
                     f"admissibility lost while probing the Jacobian: {err}"
                 ) from err
-            lu = spla.splu(jac.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            lu = spla.splu(jac)
             factorizations += 1
-        delta = lu.solve(-res.ravel()).reshape(grid.shape)
+        delta, gmres_iters = lu.solve(-res)
+        linear_iters += gmres_iters
 
-        # a reused LU gets one full-step trial, a fresh one the line search
+        # a reused Jacobian gets one full-step trial, a fresh one the line search
         step = 1.0
         accepted = False
         saw_admissible = False
@@ -418,7 +414,13 @@ def newton_solve(spec, rho0, t, lu=None):
         backtracked = step < 1.0
 
     return NewtonResult(
-        rho, iterations, norms, norms[-1] <= settings.newton_tol, factorizations, lu
+        rho,
+        iterations,
+        norms,
+        norms[-1] <= settings.newton_tol,
+        factorizations,
+        lu,
+        linear_iters,
     )
 
 
@@ -429,6 +431,7 @@ class SolveStep:
     t: float
     newton_iters: int
     factorizations: int
+    linear_iters: int
     residual_inf: float
     rho_min: float
     rho_max: float
@@ -446,6 +449,7 @@ class SolveStep:
             "t": self.t,
             "newton_iters": self.newton_iters,
             "factorizations": self.factorizations,
+            "linear_iters": self.linear_iters,
             "residual_inf": self.residual_inf,
             "rho_min": self.rho_min,
             "rho_max": self.rho_max,
@@ -517,6 +521,7 @@ def _record_step(spec, rho, t, newton, wall_ms):
         t=t,
         newton_iters=newton.iterations,
         factorizations=newton.factorizations,
+        linear_iters=newton.linear_iters,
         residual_inf=newton.residual_norms[-1],
         wall_ms=wall_ms,
         in_gamma_k=values["sigma2_min"] > 0.0,
@@ -537,8 +542,9 @@ def continue_to_one(spec, callback=None):
     t_step_min aborts with ContinuationFailure, whose `reason` is the
     Newton error or non-convergence of the last failed solve.  Each step
     is corrected by chord Newton (`newton_solve`) starting from the kept
-    LU of the last accepted step, so a Jacobian is built and factorized
-    only when the reused one stops contracting.  Returns the final field
+    Jacobian and preconditioner of the last accepted step, so a Jacobian
+    and its preconditioner are built only when the reused one stops
+    contracting.  Returns the final field
     and a SolveReport with one row per accepted step, the t=0 solve
     included.
     """

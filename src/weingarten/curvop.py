@@ -14,7 +14,9 @@ with the top coefficient deformed toward a round-sphere problem,
 The residual is the left side minus the right side.  It reads the nodal
 radii only through the value and the five derivative jets of rho at each
 node, so its Jacobian is the chain rule: per-node partials with respect to
-each jet, times the grid's fixed sparse stencil matrices.
+each jet, times the grid's fixed derivative stencils.  It is kept
+matrix-free, as those partials, and applied to a field through the same
+stencils that build the jets.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import symmfunc
 from .exprlang import evaluate, parse
-from .spheregeom import SphereGrid, geometry, local_geometry
+from .spheregeom import SphereGrid, _raw_derivatives, geometry, local_geometry
 
 __all__ = [
     "AdmissibilityError",
@@ -35,6 +37,7 @@ __all__ = [
     "alpha_blend",
     "residual",
     "residual_field",
+    "Linearization",
     "jacobian",
     "ellipticity_check",
     "concavity_check",
@@ -42,9 +45,6 @@ __all__ = [
 
 #: slack for the midpoint concavity comparison
 CONCAVITY_SLACK = 1e-10
-
-#: nonzeros per Jacobian row: the 3x3 stencil footprint
-STENCIL_FOOTPRINT = 9
 
 
 class AdmissibilityError(ArithmeticError):
@@ -160,43 +160,56 @@ def _jet_residual(spec, jets, m, value, t):
     return residual(spec, local_geometry(spec.grid, trial[0], trial[1:]), t)
 
 
+@dataclass(frozen=True)
+class Linearization:
+    """The Jacobian d residual / d rho at one iterate, matrix-free:
+
+        J v = sum_m p_m (D_m v),  q = (rho, rho_t, rho_p, rho_tt, rho_tp, rho_pp),
+
+    with `partials` (6, ntheta, nphi) holding p_m = dF/dq_m per node and
+    D_m the grid's derivative stencils (`_raw_derivatives`, D_0 the
+    identity)."""
+
+    grid: SphereGrid
+    partials: np.ndarray
+
+    def matvec(self, v):
+        """J v for a field v on the grid."""
+        out = self.partials[0] * v
+        for partial, jet in zip(self.partials[1:], _raw_derivatives(self.grid, v)):
+            out += partial * jet
+        return out
+
+
 def jacobian(spec, rho, t):
-    """Sparse Jacobian d residual / d rho by the chain rule,
-
-        J = sum_m diag(dF/dq_m) D_m,  q = (rho, rho_t, rho_p, rho_tt, rho_tp, rho_pp),
-
-    with D_m the grid's `jet_stencils` (D_0 the identity).  The partials
-    dF/dq_m are per node: central differences of `residual` in one jet at
-    a time, all nodes at once, step eps^(1/3) * max(s_m, |q_m|) with s_m
-    the jet's natural scale (sin theta per phi derivative, else 1), which
-    balances truncation against rounding.  No difference is taken across
-    the large stencil weights that cancel near the poles, and the stencils
-    annihilate constants, so J @ 1 is dF/drho up to rounding.
+    """The Jacobian of the residual at rho by the chain rule, as a
+    `Linearization`.  The partials dF/dq_m are per node: central
+    differences of `residual` in one jet at a time, all nodes at once,
+    step eps^(1/3) * max(s_m, |q_m|) with s_m the jet's natural scale (sin
+    theta per phi derivative, else 1), which balances truncation against
+    rounding.  No difference is taken across the large stencil weights
+    that cancel near the poles, and the stencils annihilate constants, so
+    J 1 is dF/drho up to rounding.
 
     Every perturbed evaluation goes through `residual`, so one that leaves
     the admissible cone raises AdmissibilityError.
     """
-    from scipy.sparse import csr_matrix  # scipy loads only on the solve path
-
     grid = spec.grid
     base = geometry(grid, rho)
     jets = (base.rho,) + base.jets
     sin_theta = grid.sin_theta[:, None]
     scales = (1.0, 1.0, sin_theta, 1.0, sin_theta, sin_theta * sin_theta)
-    stencils = grid.jet_stencils
     rel_step = np.finfo(float).eps ** (1.0 / 3.0)
 
-    data = np.zeros((grid.size, STENCIL_FOOTPRINT))
-    for m, (q, scale, stencil) in enumerate(zip(jets, scales, stencils)):
+    partials = np.empty((len(jets),) + grid.shape)
+    for m, (q, scale) in enumerate(zip(jets, scales)):
         step = rel_step * np.maximum(scale, np.abs(q))
         plus = q + step
         minus = q - step
-        partial = (
+        partials[m] = (
             _jet_residual(spec, jets, m, plus, t) - _jet_residual(spec, jets, m, minus, t)
         ) / (plus - minus)
-        data += partial.reshape(-1, 1) * stencil.data.reshape(grid.size, -1)
-    pattern = stencils[0]
-    return csr_matrix((data.ravel(), pattern.indices, pattern.indptr), shape=pattern.shape)
+    return Linearization(grid, partials)
 
 
 def _g_diagonal_derivative(lam, alphas, k):

@@ -5,22 +5,21 @@ A surface is a positive field rho on a staggered latitude/longitude grid
 the unit direction.  Derivatives are second-order central differences:
 periodic in phi, and continued across each pole by the antipodal rule
 value(-theta, phi) = value(theta, phi + pi).  They are defined once, by
-slicing a padded field; the Jacobian's sparse stencil matrices take their
-weights from the response of those slices to a unit impulse.  All
-curvature quantities come from closed-form 2x2 algebra applied node by
-node to rho and its derivative jets, so a whole grid is a handful of
-vectorized array operations.  The kernel runs them as a chain of small
-steps whose temporaries die as each step returns, so it holds a few
-grid-sized arrays at a time.  A GeometryState keeps what the solver's a
-priori bounds and residual read: rho and its jets, the principal
-curvatures and the support function.
+slicing a padded field (`_raw_derivatives`); the Jacobian applies the same
+slices to a direction, and its preconditioner reads their weights off the
+response to a unit impulse.  All curvature quantities come from
+closed-form 2x2 algebra applied node by node to rho and its derivative
+jets, so a whole grid is a handful of vectorized array operations.  The
+kernel runs them as a chain of small steps whose temporaries die as each
+step returns, so it holds a few grid-sized arrays at a time.  A
+GeometryState keeps what the solver's a priori bounds and residual read:
+rho and its jets, the principal curvatures and the support function.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -102,19 +101,6 @@ class SphereGrid:
         d1, d2, d3 = self.directions()
         return EvalEnv(rho, rho * d1, rho * d2, rho * d3)
 
-    @cached_property
-    def jet_stencils(self):
-        """Sparse matrices (D_0, ..., D_5) taking a flattened field to its
-        value and its derivatives (theta, phi, theta-theta, theta-phi,
-        phi-phi): the weights of `geometry`'s stencils, read off their
-        response to a unit impulse, with columns mapped through the same
-        `pad` ghost rule.  All six share one pattern of 9 entries per
-        row in ascending column order, explicit zeros included, so they
-        combine entry by entry.  Built on first use; only the Jacobian
-        reads them.
-        """
-        return _jet_stencils(self)
-
 
 def _raw_derivatives(grid, field):
     padded = grid.pad(field)
@@ -128,32 +114,6 @@ def _raw_derivatives(grid, field):
         padded[2:, 2:] - padded[2:, :-2] - padded[:-2, 2:] + padded[:-2, :-2]
     ) / (4.0 * dt * dp)
     return d_theta, d_phi, d_tt, d_tp, d_pp
-
-
-def _jet_stencils(grid):
-    from scipy.sparse import csr_matrix  # scipy loads only on the solve path
-
-    nt, npj = grid.shape
-    index = grid.pad(np.arange(grid.size, dtype=float).reshape(grid.shape))
-    offsets = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
-    cols = np.stack(
-        [index[1 + di:nt + 1 + di, 1 + dj:npj + 1 + dj].ravel() for di, dj in offsets],
-        axis=1,
-    ).astype(np.intp)
-    # weight of offset o in jet m: jet m, at node c - o, of a unit impulse
-    # at an interior node c
-    impulse = np.zeros(grid.shape)
-    impulse[nt // 2, npj // 2] = 1.0
-    jets = (impulse,) + _raw_derivatives(grid, impulse)
-    weights = np.array(
-        [[jet[nt // 2 - di, npj // 2 - dj] for di, dj in offsets] for jet in jets]
-    )
-
-    order = np.argsort(cols, axis=1)
-    indices = np.take_along_axis(cols, order, axis=1).ravel()
-    indptr = np.arange(0, indices.size + 1, len(offsets))
-    shape = (grid.size, grid.size)
-    return tuple(csr_matrix((w[order].ravel(), indices, indptr), shape=shape) for w in weights)
 
 
 @dataclass

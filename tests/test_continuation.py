@@ -6,7 +6,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import splu
 
 from weingarten import continuation
 from weingarten.continuation import (
@@ -35,6 +34,7 @@ REPORT_KEYS = (
     "t",
     "newton_iters",
     "factorizations",
+    "linear_iters",
     "residual_inf",
     "rho_min",
     "rho_max",
@@ -170,12 +170,13 @@ def test_newton_converges_at_final_time():
 
 @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["stale", "reversed"])
 def test_newton_drops_a_stale_factorization(sign):
-    # the LU of the round sphere 2.5 at t=0 is far from the Jacobian at the
-    # t=1 solution, and its negation points uphill; Newton must refactorize
-    # instead of giving up
+    # the Jacobian of the round sphere 2.5 at t=0 is far from the one at
+    # the t=1 solution, and its negation points uphill; Newton must build a
+    # fresh one instead of giving up
     spec = benchmark_spec()
     sphere = np.full(spec.grid.shape, 2.5)
-    stale = splu(sign * jacobian(spec, sphere, 0.0).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    jac = jacobian(spec, sphere, 0.0)
+    stale = continuation.spla.splu(replace(jac, partials=sign * jac.partials))
     start = np.full(spec.grid.shape, 2.2)
     result = newton_solve(spec, start, 1.0, lu=stale)
     assert result.converged
@@ -241,9 +242,11 @@ def test_continuation_reuses_factorizations():
 
 
 def test_newton_factorizes_through_the_spla_binding(monkeypatch):
-    # the per-layer tracer counts LUs by wrapping `continuation.spla`, so
-    # every factorization must be looked up there at call time
+    # the per-layer tracer counts preconditioner builds by wrapping
+    # `continuation.spla`, so every build must be looked up there at call
+    # time
     calls = []
+    splu = continuation.spla.splu
 
     class CountingLinalg:
         def splu(self, *args, **kwargs):

@@ -119,19 +119,6 @@ def test_hessian_of_smooth_field():
     assert np.allclose(hess_tp, 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("ntheta, nphi", [(8, 16), (32, 64)])
-def test_jet_stencils_match_sliced_derivatives(ntheta, nphi):
-    # the Jacobian's stencil matrices and the sliced stencils of geometry
-    # are two definitions of one operator, pole rows and phi seam included
-    grid = SphereGrid(ntheta, nphi)
-    field = 2.0 + np.random.default_rng(ntheta).normal(size=grid.shape)
-    identity, *stencils = grid.jet_stencils
-    assert np.array_equal(identity @ field.ravel(), field.ravel())
-    for stencil, want in zip(stencils, _raw_derivatives(grid, field)):
-        got = (stencil @ field.ravel()).reshape(grid.shape)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
 def test_round_sphere_geometry():
     for radius in (0.5, 2.0, 7.0):
         grid = SphereGrid(16, 32)
