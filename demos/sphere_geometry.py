@@ -45,8 +45,9 @@ previous = None
 for ntheta in (16, 32, 64, 128):
     grid = SphereGrid(ntheta, 2 * ntheta)
     geom = geometry(grid, ellipsoid_rho(grid))
-    want = np.broadcast_to(ellipsoid_kappa(grid)[:, None, :], geom.kappa.shape)
-    err = np.abs(geom.kappa - want).max()
+    kappa = geom.kappa
+    want = np.broadcast_to(ellipsoid_kappa(grid)[:, None, :], kappa.shape)
+    err = np.abs(kappa - want).max()
     rate = "" if previous is None else f"   rate {np.log2(previous / err):.2f}"
     print(f"  {ntheta:4d}x{2 * ntheta:<4d}  max error {err:.3e}{rate}")
     previous = err
@@ -59,9 +60,10 @@ th = grid.theta[:, None]
 ph = grid.phi[None, :]
 rho = 2.0 + 0.3 * np.cos(th) + 0.15 * np.sin(th) ** 2 * np.cos(2 * ph)
 geom = geometry(grid, rho)
+kappa = geom.kappa
 print("bumpy surface:")
 print("  rho range          [%.4f, %.4f]" % (rho.min(), rho.max()))
-print("  kappa_min range    [%.4f, %.4f]" % (geom.kappa[..., 0].min(), geom.kappa[..., 0].max()))
-print("  kappa_max range    [%.4f, %.4f]" % (geom.kappa[..., 1].min(), geom.kappa[..., 1].max()))
+print("  kappa_min range    [%.4f, %.4f]" % (kappa[..., 0].min(), kappa[..., 0].max()))
+print("  kappa_max range    [%.4f, %.4f]" % (kappa[..., 1].min(), kappa[..., 1].max()))
 print("  min support        %.4f (positive: star-shaped)" % geom.support.min())
-print("  min sigma_2(kappa) %.4f (positive: 2-convex)" % (geom.kappa[..., 0] * geom.kappa[..., 1]).min())
+print("  min sigma_2        %.4f (positive: 2-convex)" % geom.sigma2.min())

@@ -46,8 +46,8 @@ grid = spec.grid
 print("rho at north ring %.6f, south ring %.6f" % (rho[0].mean(), rho[-1].mean()))
 
 geom = geometry(grid, rho)
-print("curvature pair at equator ring: kappa = (%.4f, %.4f)" % (
-    geom.kappa[grid.ntheta // 2, 0, 0], geom.kappa[grid.ntheta // 2, 0, 1]))
+print("curvature pair at equator ring: kappa = (%.4f, %.4f)" % tuple(
+    geom.kappa[grid.ntheta // 2, 0]))
 
 outdir = Path("out")
 outdir.mkdir(exist_ok=True)

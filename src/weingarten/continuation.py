@@ -318,7 +318,7 @@ def initial_solution(spec):
 
 @dataclass
 class NewtonResult:
-    """Outcome of one corrector solve.  `lu` is the Jacobian and its
+    """Outcome of one corrector solve.  `solver` is the Jacobian and its
     preconditioner (a `linsolve.RingMeanSolver`) the solve ended with, for
     the next solve to reuse; None if it never had one.  `factorizations`
     counts preconditioner builds, `linear_iters` GMRES iterations."""
@@ -328,17 +328,17 @@ class NewtonResult:
     residual_norms: list
     converged: bool
     factorizations: int
-    lu: object
+    solver: object
     linear_iters: int = 0
 
 
-def newton_solve(spec, rho0, t, lu=None):
+def newton_solve(spec, rho0, t, solver=None):
     """Chord Newton on the nodal radii at fixed homotopy time t.
 
     Each step solves J delta = -F by GMRES with a kept Jacobian and its
     ring-mean preconditioner (`spla.splu`, see `linsolve`), to the
     relative forcing `linsolve.GMRES_RTOL`.  Both are rebuilt at the
-    current iterate only when there are none yet (`lu`, e.g. from the
+    current iterate only when there are none yet (`solver`, e.g. from the
     previous continuation step, is used first), when the last accepted
     step backtracked, or when the residual max-norm fell by less than the
     factor CONTRACTION_LIMIT.  A step with a reused Jacobian tries the
@@ -361,7 +361,7 @@ def newton_solve(spec, rho0, t, lu=None):
 
     while norms[-1] > settings.newton_tol and iterations < settings.newton_max_iter:
         fresh = (
-            lu is None
+            solver is None
             or backtracked
             or (len(norms) > 1 and norms[-1] > CONTRACTION_LIMIT * norms[-2])
         )
@@ -372,9 +372,9 @@ def newton_solve(spec, rho0, t, lu=None):
                 raise ConeExitError(
                     f"admissibility lost while probing the Jacobian: {err}"
                 ) from err
-            lu = spla.splu(jac)
+            solver = spla.splu(jac)
             factorizations += 1
-        delta, gmres_iters = lu.solve(-res)
+        delta, gmres_iters = solver.solve(-res)
         linear_iters += gmres_iters
 
         # a reused Jacobian gets one full-step trial, a fresh one the line search
@@ -396,7 +396,7 @@ def newton_solve(spec, rho0, t, lu=None):
             step *= 0.5
         if not accepted:
             if not fresh:
-                lu = None
+                solver = None
                 continue
             if saw_admissible:
                 raise StagnationError(
@@ -419,7 +419,7 @@ def newton_solve(spec, rho0, t, lu=None):
         norms,
         norms[-1] <= settings.newton_tol,
         factorizations,
-        lu,
+        solver,
         linear_iters,
     )
 
@@ -489,18 +489,16 @@ class SolveReport:
 
 def monitors(spec, geom):
     """A priori bounds on the surface `geom`: rho range against the barrier
-    shells (C0), min <X, nu> (C1), min sigma_1 and sigma_2 of kappa (C2)
-    and max H.  Returns these values, keyed as in the solve report, and one
+    shells (C0), min <X, nu> (C1), min sigma_1 and sigma_2 (C2) and max H
+    = sigma_1.  Returns these values, keyed as in the solve report, and one
     message per violated barrier, support or sigma_1 condition."""
-    kappa = geom.kappa
-    sigma1 = kappa[..., 0] + kappa[..., 1]  # the mean curvature H
     values = {
         "rho_min": float(geom.rho.min()),
         "rho_max": float(geom.rho.max()),
         "support_min": float(geom.support.min()),
-        "sigma1_min": float(sigma1.min()),
-        "sigma2_min": float((kappa[..., 0] * kappa[..., 1]).min()),
-        "H_max": float(sigma1.max()),
+        "sigma1_min": float(geom.sigma1.min()),
+        "sigma2_min": float(geom.sigma2.min()),
+        "H_max": float(geom.sigma1.max()),
     }
     violations = []
     if not (values["rho_min"] > spec.r1 and values["rho_max"] < spec.r2):
@@ -544,9 +542,8 @@ def continue_to_one(spec, callback=None):
     is corrected by chord Newton (`newton_solve`) starting from the kept
     Jacobian and preconditioner of the last accepted step, so a Jacobian
     and its preconditioner are built only when the reused one stops
-    contracting.  Returns the final field
-    and a SolveReport with one row per accepted step, the t=0 solve
-    included.
+    contracting.  Returns the final field and a SolveReport with one row
+    per accepted step, the t=0 solve included.
     """
     hypothesis = check_hypotheses(spec)
     if not hypothesis.passed:
@@ -554,7 +551,7 @@ def continue_to_one(spec, callback=None):
 
     settings = spec.solver
     rho = initial_solution(spec)
-    lu = None
+    solver = None
     steps = []
     t = target = 0.0
     dt = settings.t_step_initial
@@ -562,7 +559,7 @@ def continue_to_one(spec, callback=None):
     while t < 1.0:
         begin = time.perf_counter()
         try:
-            newton = newton_solve(spec, rho, target, lu=lu)
+            newton = newton_solve(spec, rho, target, solver=solver)
             reason = None if newton.converged else (
                 f"not converged after {newton.iterations} iterations "
                 f"(t={target:.4f}, |F|={newton.residual_norms[-1]:.3e})"
@@ -578,7 +575,7 @@ def continue_to_one(spec, callback=None):
                 raise ContinuationFailure(t, rho, SolveReport(steps, hypothesis), reason)
         else:
             rho = newton.rho
-            lu = newton.lu
+            solver = newton.solver
             step = _record_step(spec, rho, target, newton, wall_ms)
             steps.append(step)
             if callback is not None:

@@ -132,14 +132,13 @@ def residual(spec, geom, t):
     Requires kappa in Gamma_1 (sigma_1 > 0) at every node; raises
     AdmissibilityError (with the offending node) otherwise.
     """
-    kappa = geom.kappa
-    sigma1 = kappa[..., 0] + kappa[..., 1]
+    sigma1 = geom.sigma1
     if np.any(sigma1 <= 0.0):
         bad = tuple(np.argwhere(sigma1 <= 0.0)[0].tolist())
         raise AdmissibilityError(bad, 1)
 
     env = geom.grid.node_env(geom.rho)
-    out = kappa[..., 0] * kappa[..., 1] / sigma1
+    out = geom.sigma2 / sigma1
     out = out - t * evaluate(spec.alphas[0], env, "alpha0") / sigma1
     out = out - alpha_blend(spec, env, t)
     if not np.all(np.isfinite(out)):

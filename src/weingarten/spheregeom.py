@@ -7,13 +7,14 @@ periodic in phi, and continued across each pole by the antipodal rule
 value(-theta, phi) = value(theta, phi + pi).  They are defined once, by
 slicing a padded field (`_raw_derivatives`); the Jacobian applies the same
 slices to a direction, and its preconditioner reads their weights off the
-response to a unit impulse.  All curvature quantities come from
-closed-form 2x2 algebra applied node by node to rho and its derivative
-jets, so a whole grid is a handful of vectorized array operations.  The
-kernel runs them as a chain of small steps whose temporaries die as each
+response to a unit impulse.  Curvature is closed-form 2x2 algebra applied
+node by node to rho and its jets: sigma_1 and sigma_2 are the trace and
+determinant of the shape operator S = g^-1 h, with no square root or
+eigenvalue; the principal curvatures are built from S only on request.
+The kernel runs as a chain of small steps whose temporaries die as each
 step returns, so it holds a few grid-sized arrays at a time.  A
 GeometryState keeps what the solver's a priori bounds and residual read:
-rho and its jets, the principal curvatures and the support function.
+rho and its jets, sigma_1, sigma_2 and the support function.
 """
 
 from __future__ import annotations
@@ -119,15 +120,28 @@ def _raw_derivatives(grid, field):
 @dataclass
 class GeometryState:
     """The fields of one radial graph that the solver reads, per node: rho
-    (the C0 barrier bound), its jets (the Jacobian), the principal
-    curvatures (the C2 bound, the cone and the residual) and the support
-    function (the C1 bound)."""
+    (the C0 barrier bound), its jets (the Jacobian), sigma_1 and sigma_2
+    of the principal curvatures (the C2 bound, the cone and the residual)
+    and the support function (the C1 bound)."""
 
     grid: SphereGrid
     rho: np.ndarray
     jets: tuple                   # (rho_t, rho_p, rho_tt, rho_tp, rho_pp)
-    kappa: np.ndarray             # principal curvatures, ascending, (nt, np, 2)
+    sigma1: np.ndarray            # tr(g^-1 h), the mean curvature H
+    sigma2: np.ndarray            # det(g^-1 h), the Gauss curvature K
     support: np.ndarray           # <X, nu> = rho^2 / sqrt(rho^2 + |D rho|^2)
+
+    @property
+    def kappa(self):
+        """Principal curvatures, ascending, (nt, np, 2), rebuilt on each
+        read; the solver never reads them.  The discriminant is formed
+        from the entries of S, not as sigma_1^2 - 4 sigma_2, which cancels
+        at umbilic points."""
+        w = _norm(self.grid, self.rho, self.jets[0], self.jets[1])
+        s_tt, s_tp, s_pt, s_pp = _shape_operator(self.grid, self.rho, self.jets, w)
+        radius = 0.5 * np.sqrt(np.maximum(0.0, (s_tt - s_pp) ** 2 + 4.0 * s_tp * s_pt))
+        half_trace = 0.5 * self.sigma1
+        return np.stack([half_trace - radius, half_trace + radius], axis=-1)
 
 
 # The kernel's steps.  Each returns only what the next step reads, so its
@@ -166,37 +180,18 @@ def _second_form_parts(grid, rho, jets, w):
     return h_tt, h_tp, h_pp
 
 
-def _inverse_sqrt(g_tt, g_tp, g_pp):
-    """Symmetric inverse square root (a_tt, a_tp, a_pp) of g.
-
-    For a 2x2 SPD matrix M, sqrt(M) = (M + sqrt(det M) I) / tau with
-    tau = sqrt(tr M + 2 sqrt(det M)), so
-    inv(sqrt(M)) = adj(M + sqrt(det M) I) / (sqrt(det M) tau).
-    """
-    s = np.sqrt(g_tt * g_pp - g_tp * g_tp)
-    scale = s * np.sqrt(g_tt + g_pp + 2.0 * s)
-    return (g_pp + s) / scale, -g_tp / scale, (g_tt + s) / scale
-
-
-def _conjugate(a, h):
-    """The symmetric matrix a h a, as (s_tt, s_tp, s_pp)."""
-    a_tt, a_tp, a_pp = a
-    h_tt, h_tp, h_pp = h
-    m_tt = a_tt * h_tt + a_tp * h_tp
-    m_tp = a_tt * h_tp + a_tp * h_pp
-    m_pt = a_tp * h_tt + a_pp * h_tp
-    m_pp = a_tp * h_tp + a_pp * h_pp
-    s_tt = m_tt * a_tt + m_tp * a_tp
-    s_pp = m_pt * a_tp + m_pp * a_pp
-    s_tp = 0.5 * ((m_tt * a_tp + m_tp * a_pp) + (m_pt * a_tt + m_pp * a_tp))
-    return s_tt, s_tp, s_pp
-
-
-def _eigenvalues(s_tt, s_tp, s_pp):
-    """Eigenvalues of a symmetric 2x2 field, ascending, (nt, np, 2)."""
-    half_trace = 0.5 * (s_tt + s_pp)
-    radius = 0.5 * np.sqrt((s_tt - s_pp) ** 2 + 4.0 * s_tp * s_tp)
-    return np.stack([half_trace - radius, half_trace + radius], axis=-1)
+def _shape_operator(grid, rho, jets, w):
+    """Entries (s_tt, s_tp, s_pt, s_pp) of the shape operator S = g^-1 h,
+    with g^-1 = adj(g) / det g."""
+    g_tt, g_tp, g_pp = _metric_parts(grid, rho, jets[0], jets[1])
+    h_tt, h_tp, h_pp = _second_form_parts(grid, rho, jets, w)
+    det = g_tt * g_pp - g_tp * g_tp
+    return (
+        (g_pp * h_tt - g_tp * h_tp) / det,
+        (g_pp * h_tp - g_tp * h_pp) / det,
+        (g_tt * h_tp - g_tp * h_tt) / det,
+        (g_tt * h_pp - g_tp * h_tp) / det,
+    )
 
 
 def local_geometry(grid, rho, jets):
@@ -204,20 +199,22 @@ def local_geometry(grid, rho, jets):
     (rho_t, rho_p, rho_tt, rho_tp, rho_pp) at each node; no stencil is
     applied here, so any jet may be perturbed on its own.
 
-    The principal curvatures are the eigenvalues of g^{-1/2} h g^{-1/2}.
-    Raises FloatingPointError at the first node with non-finite curvature.
+    sigma_1 and sigma_2 of the principal curvatures are the trace and the
+    determinant of the shape operator S = g^-1 h.  Raises
+    FloatingPointError at the first node where either is not finite.
     """
-    d_theta, d_phi = jets[0], jets[1]
-    w = _norm(grid, rho, d_theta, d_phi)
+    w = _norm(grid, rho, jets[0], jets[1])
     support = rho * rho / w
-    a = _inverse_sqrt(*_metric_parts(grid, rho, d_theta, d_phi))
-    kappa = _eigenvalues(*_conjugate(a, _second_form_parts(grid, rho, jets, w)))
+    s_tt, s_tp, s_pt, s_pp = _shape_operator(grid, rho, jets, w)
+    sigma1 = s_tt + s_pp
+    sigma2 = s_tt * s_pp - s_tp * s_pt
 
-    if not np.all(np.isfinite(kappa)):
-        bad = tuple(np.argwhere(~np.isfinite(kappa))[0][:2].tolist())
+    finite = np.isfinite(sigma1) & np.isfinite(sigma2)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0].tolist())
         raise FloatingPointError(f"non-finite curvature at node {bad}")
 
-    return GeometryState(grid=grid, rho=rho, jets=tuple(jets), kappa=kappa, support=support)
+    return GeometryState(grid, rho, tuple(jets), sigma1, sigma2, support)
 
 
 def geometry(grid, rho):

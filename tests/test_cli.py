@@ -398,6 +398,20 @@ def test_export_to_obj_and_back_to_csv(tmp_path, capsys):
     assert np.array_equal(rho_a, rho_b)
 
 
+def test_solve_verify_export_never_read_kappa(tmp_path, capsys, monkeypatch):
+    # the solver reads sigma_1 and sigma_2; the principal curvatures are
+    # off its path
+    def unread(self):
+        raise AssertionError("GeometryState.kappa read")
+
+    monkeypatch.setattr(spheregeom.GeometryState, "kappa", property(unread))
+    cfg = write_cfg(tmp_path)
+    solution = tmp_path / "out" / "solution.csv"
+    assert cli.main(["solve", str(cfg)]) == 0
+    assert cli.main(["verify", str(solution), str(cfg)]) == 0
+    assert cli.main(["export", str(solution), str(cfg), "--format", "obj"]) == 0
+
+
 def test_check_verify_export_never_import_scipy(tmp_path):
     # the program runs on numpy alone: no command, solve included, pays
     # for scipy's import

@@ -178,7 +178,7 @@ def test_newton_drops_a_stale_factorization(sign):
     jac = jacobian(spec, sphere, 0.0)
     stale = continuation.spla.splu(replace(jac, partials=sign * jac.partials))
     start = np.full(spec.grid.shape, 2.2)
-    result = newton_solve(spec, start, 1.0, lu=stale)
+    result = newton_solve(spec, start, 1.0, solver=stale)
     assert result.converged
     assert result.factorizations >= 1
     assert np.abs(result.rho - 2.0).max() < 1e-6
@@ -354,8 +354,9 @@ def test_monitors_name_each_violated_condition():
     dented_geom = geometry(spec.grid, dented)
     values, violations = monitors(spec, dented_geom)
     assert [line.split(":")[0] for line in violations] == ["barrier", "cone"]
-    sigma1 = dented_geom.kappa[..., 0] + dented_geom.kappa[..., 1]
-    assert values["sigma1_min"] == sigma1.min() and values["H_max"] == sigma1.max()
+    assert values["sigma1_min"] == dented_geom.sigma1.min()
+    assert values["H_max"] == dented_geom.sigma1.max()
+    assert values["sigma2_min"] == dented_geom.sigma2.min()
 
     # the solve path reports the same messages
     newton = NewtonResult(outside.rho, 0, [0.0], True, 0, None)

@@ -127,6 +127,23 @@ def test_round_sphere_geometry():
         assert np.allclose(geom.support, radius, rtol=0, atol=1e-13)
 
 
+def test_curvature_is_exact_at_umbilic_points():
+    # on a round sphere S = I/R: kappa and sigma_1 within 2 ulps, sigma_2
+    # within 4
+    for ntheta in (8, 64, 256):
+        grid = SphereGrid(ntheta, 2 * ntheta)
+        for radius in (0.5, 2.0, 3.7, 7.0):
+            geom = geometry(grid, np.full(grid.shape, radius))
+            for name, got, want, ulps in (
+                ("kappa", geom.kappa, 1.0 / radius, 2),
+                ("sigma1", geom.sigma1, 2.0 / radius, 2),
+                ("sigma2", geom.sigma2, 1.0 / radius**2, 4),
+            ):
+                assert np.abs(got - want).max() <= ulps * np.spacing(want), (
+                    name, ntheta, radius
+                )
+
+
 def test_support_two_ways():
     # <X, nu>, with the unit normal nu of the reference formulas, must
     # match rho/v
@@ -154,6 +171,8 @@ def test_phi_shift_equivariance_is_exact():
     a = geometry(grid, rho)
     b = geometry(grid, rolled)
     assert np.array_equal(b.kappa, np.roll(a.kappa, 1, axis=1))
+    assert np.array_equal(b.sigma1, np.roll(a.sigma1, 1, axis=1))
+    assert np.array_equal(b.sigma2, np.roll(a.sigma2, 1, axis=1))
     assert np.array_equal(b.support, np.roll(a.support, 1, axis=1))
     for got, want in zip(b.jets, a.jets):
         assert np.array_equal(got, np.roll(want, 1, axis=1))
@@ -169,9 +188,10 @@ def test_kappa_is_sorted_ascending():
 
 
 def reference_geometry(grid, rho):
-    """kappa and support by one out-of-place formula per step, in the
-    kernel's order of operations, with all intermediates kept; also v and
-    the unit normal, which the kernel does not build."""
+    """kappa and support by one out-of-place formula per step, with all
+    intermediates kept: kappa as the eigenvalues of g^{-1/2} h g^{-1/2},
+    an independent route to the kernel's trace and determinant of g^-1 h.
+    Also v and the unit normal, which the kernel does not build."""
     d_theta, d_phi, d_tt, d_tp, d_pp = _raw_derivatives(grid, rho)
     st = grid.sin_theta[:, None]
     ct = grid.cos_theta[:, None]
@@ -229,7 +249,7 @@ def reference_geometry(grid, rho):
     return {"kappa": kappa, "support": support, "v": v, "normal": normal}
 
 
-def test_geometry_is_bit_identical_to_reference_formulas():
+def test_geometry_matches_reference_formulas():
     # a field with no symmetry: every node differs, pole rings and the
     # phi seam included
     grid = SphereGrid(16, 32)
@@ -243,8 +263,14 @@ def test_geometry_is_bit_identical_to_reference_formulas():
     )
     geom = geometry(grid, rho)
     reference = reference_geometry(grid, rho)
-    for name in ("kappa", "support"):
-        assert np.array_equal(getattr(geom, name), reference[name]), name
+    assert np.array_equal(geom.support, reference["support"])
+    kappa = reference["kappa"]
+    for got, want in (
+        (geom.kappa, kappa),
+        (geom.sigma1, kappa[..., 0] + kappa[..., 1]),
+        (geom.sigma2, kappa[..., 0] * kappa[..., 1]),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
 
 
 def test_geometry_rejects_nonpositive_radius():
