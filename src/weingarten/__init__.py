@@ -28,7 +28,6 @@ from .continuation import (
 from .curvop import (
     AdmissibilityError,
     ProblemSpec,
-    SolverSettings,
     alpha_blend,
     concavity_check,
     ellipticity_check,
@@ -44,7 +43,6 @@ from .exprlang import (
     evaluate,
     parse,
     radial_derivative,
-    to_text,
 )
 from .export import (
     SolutionFormatError,

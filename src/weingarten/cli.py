@@ -49,40 +49,31 @@ EXIT_BAD_INPUT = 2
 EXIT_STALLED = 3
 
 
-def _progress_printer(verbosity):
-    if verbosity < 1:
-        return None
-
-    def show(step):
-        print(
-            f"  t={step.t:6.4f}  newton={step.newton_iters:2d}  "
-            f"|F|={step.residual_inf:9.3e}  rho=[{step.rho_min:.6f}, {step.rho_max:.6f}]"
-            + ("  " + "; ".join(step.monitor_warnings) if step.monitor_warnings else "")
-        )
-
-    return show
+def _print_step(step):
+    print(
+        f"  t={step.t:6.4f}  newton={step.newton_iters:2d}  "
+        f"|F|={step.residual_inf:9.3e}  rho=[{step.rho_min:.6f}, {step.rho_max:.6f}]"
+        + ("  " + "; ".join(step.monitor_warnings) if step.monitor_warnings else "")
+    )
 
 
 def cmd_check(args):
     cfg = load_config(args.config)
     report = check_hypotheses(cfg.problem)
     print(report.table())
-    if cfg.write_report:
-        cfg.outdir.mkdir(parents=True, exist_ok=True)
-        out = cfg.outdir / "hypothesis_report.json"
-        write_hypothesis_report(out, report)
-        if cfg.verbosity >= 1:
-            print(f"report written to {out}")
+    cfg.outdir.mkdir(parents=True, exist_ok=True)
+    out = cfg.outdir / "hypothesis_report.json"
+    write_hypothesis_report(out, report)
+    print(f"report written to {out}")
     return EXIT_OK if report.passed else EXIT_FAILED
 
 
 def cmd_solve(args):
     cfg = load_config(args.config)
     spec = cfg.problem
-    if cfg.verbosity >= 1:
-        print(f"solving on a {spec.grid.ntheta}x{spec.grid.nphi} grid:")
+    print(f"solving on a {spec.grid.ntheta}x{spec.grid.nphi} grid:")
     try:
-        rho, report = continue_to_one(spec, callback=_progress_printer(cfg.verbosity))
+        rho, report = continue_to_one(spec, callback=_print_step)
     except HypothesisError as err:
         print(err.report.table())
         print("hypothesis check failed; not solving")
@@ -92,31 +83,25 @@ def cmd_solve(args):
         print(f"last failed solve: {err.reason}")
         return EXIT_STALLED
 
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    written = []
-    if cfg.write_csv:
-        path = cfg.outdir / "solution.csv"
-        write_solution_csv(path, spec.grid, rho)
-        written.append(path)
-    if cfg.write_mesh:
-        path = cfg.outdir / "surface.obj"
-        write_obj(path, spec.grid, rho)
-        written.append(path)
-    if cfg.write_report:
-        path = cfg.outdir / "solve_report.json"
-        write_solve_report(path, report)
-        written.append(path)
-        path = cfg.outdir / "hypothesis_report.json"
-        write_hypothesis_report(path, report.hypothesis)
-        written.append(path)
-    if cfg.verbosity >= 1:
-        final = report.steps[-1]
-        print(
-            f"reached t=1: |F|={final.residual_inf:.3e}, "
-            f"rho in [{final.rho_min:.8f}, {final.rho_max:.8f}]"
-        )
-        for path in written:
-            print(f"wrote {path}")
+    out = cfg.outdir
+    out.mkdir(parents=True, exist_ok=True)
+    written = [
+        out / "solution.csv",
+        out / "surface.obj",
+        out / "solve_report.json",
+        out / "hypothesis_report.json",
+    ]
+    write_solution_csv(written[0], spec.grid, rho)
+    write_obj(written[1], spec.grid, rho)
+    write_solve_report(written[2], report)
+    write_hypothesis_report(written[3], report.hypothesis)
+    final = report.steps[-1]
+    print(
+        f"reached t=1: |F|={final.residual_inf:.3e}, "
+        f"rho in [{final.rho_min:.8f}, {final.rho_max:.8f}]"
+    )
+    for path in written:
+        print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -141,7 +126,7 @@ def cmd_verify(args):
         print(f"verification failed: {err}")
         return EXIT_FAILED
 
-    tol = 10.0 * spec.solver.newton_tol
+    tol = 10.0 * spec.newton_tol
     try:
         res_inf = float(np.abs(residual_field(spec, rho, 1.0)).max())
         if res_inf > tol:

@@ -1,14 +1,16 @@
 """Run configuration: INI-style files with [problem], [grid], [solver] and
 [output] sections.  Coefficient expressions are quoted strings in the
-expression language; everything else is plain key = value."""
+expression language; everything else is plain key = value.  Beyond the
+problem and its grid, a run sets only Newton's stopping tolerance and its
+output directory."""
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
-from .curvop import ProblemSpec, SolverSettings
+from .curvop import ProblemSpec
 from .exprlang import ExprSyntaxError, parse
 from .spheregeom import SphereGrid
 
@@ -23,8 +25,8 @@ class ConfigError(ValueError):
 KEYS = {
     "problem": {"k", "n", "r1", "r2", "phi"},
     "grid": {"ntheta", "nphi"},
-    "solver": {field.name for field in fields(SolverSettings)},
-    "output": {"directory", "csv", "mesh", "report", "verbosity"},
+    "solver": {"newton_tol"},
+    "output": {"directory"},
 }
 
 
@@ -32,10 +34,6 @@ KEYS = {
 class RunConfig:
     problem: ProblemSpec
     outdir: Path
-    write_csv: bool = True
-    write_mesh: bool = True
-    write_report: bool = True
-    verbosity: int = 1
 
 
 def _unquote(text):
@@ -54,17 +52,6 @@ def _get(section, key, cast, default=None):
         return cast(section[key])
     except ValueError as err:
         raise ConfigError(f"bad value for {key!r} in [{section.name}]: {err}") from err
-
-
-def _get_bool(section, key, default):
-    if key not in section:
-        return default
-    text = section[key].strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"bad boolean for {key!r} in [{section.name}]: {section[key]!r}")
 
 
 def load_config(path):
@@ -134,15 +121,13 @@ def load_config(path):
     except ValueError as err:
         raise ConfigError(f"bad grid: {err}") from err
 
+    # an absent newton_tol keeps ProblemSpec's default
+    tol = {}
+    if "newton_tol" in solver_sec:
+        tol["newton_tol"] = _get(solver_sec, "newton_tol", float)
     try:
-        # each setting is read as the type of its default
-        settings = SolverSettings(**{
-            field.name: _get(solver_sec, field.name, type(field.default), field.default)
-            for field in fields(SolverSettings)
-        })
         spec = ProblemSpec(
-            k=k, n=n, r1=r1, r2=r2, alphas=tuple(alphas), phi=phi,
-            grid=grid, solver=settings,
+            k=k, n=n, r1=r1, r2=r2, alphas=tuple(alphas), phi=phi, grid=grid, **tol
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
@@ -151,11 +136,4 @@ def load_config(path):
     if not outdir.is_absolute():
         outdir = path.parent / outdir
 
-    return RunConfig(
-        problem=spec,
-        outdir=outdir,
-        write_csv=_get_bool(output, "csv", True),
-        write_mesh=_get_bool(output, "mesh", True),
-        write_report=_get_bool(output, "report", True),
-        verbosity=_get(output, "verbosity", int, default=1),
-    )
+    return RunConfig(problem=spec, outdir=outdir)

@@ -51,6 +51,15 @@ MARGIN_SLACK = 1e-10
 # least by this factor; a slower step triggers a fresh Jacobian and
 # preconditioner.
 CONTRACTION_LIMIT = 0.5
+# Newton gives up after this many accepted steps per solve, chord steps
+# included, and a fresh step after this many halvings.
+NEWTON_MAX_ITER = 50
+MAX_BACKTRACKS = 8
+# Homotopy steps in t: the first, the largest, and the smallest before
+# the walk gives up.
+T_STEP_INITIAL = 0.1
+T_STEP_MAX = 0.25
+T_STEP_MIN = 1e-4
 
 
 class HypothesisError(RuntimeError):
@@ -346,11 +355,10 @@ def newton_solve(spec, rho0, t, solver=None):
     the residual, the same iterate is retried with a fresh one.  A fresh
     step backtracks by halving until the trial iterate is admissible and
     the residual strictly decreases, and raises StagnationError or
-    ConeExitError when it cannot.  Stops at newton_tol or after
-    newton_max_iter accepted steps, chord steps included.
+    ConeExitError when it cannot.  Stops at the spec's newton_tol or
+    after NEWTON_MAX_ITER accepted steps, chord steps included.
     """
     grid = spec.grid
-    settings = spec.solver
     rho = grid.check_field(rho0).copy()
     res = residual_field(spec, rho, t)
     norms = [float(np.abs(res).max())]
@@ -359,7 +367,7 @@ def newton_solve(spec, rho0, t, solver=None):
     linear_iters = 0
     backtracked = False
 
-    while norms[-1] > settings.newton_tol and iterations < settings.newton_max_iter:
+    while norms[-1] > spec.newton_tol and iterations < NEWTON_MAX_ITER:
         fresh = (
             solver is None
             or backtracked
@@ -381,7 +389,7 @@ def newton_solve(spec, rho0, t, solver=None):
         step = 1.0
         accepted = False
         saw_admissible = False
-        for _ in range(settings.max_backtracks + 1 if fresh else 1):
+        for _ in range(MAX_BACKTRACKS + 1 if fresh else 1):
             trial = rho + step * delta
             if np.all(trial > 0.0):
                 try:
@@ -400,7 +408,7 @@ def newton_solve(spec, rho0, t, solver=None):
                 continue
             if saw_admissible:
                 raise StagnationError(
-                    f"no residual decrease after {settings.max_backtracks} halvings "
+                    f"no residual decrease after {MAX_BACKTRACKS} halvings "
                     f"(t={t:.4f}, |F|={norms[-1]:.3e})"
                 )
             raise ConeExitError(
@@ -417,7 +425,7 @@ def newton_solve(spec, rho0, t, solver=None):
         rho,
         iterations,
         norms,
-        norms[-1] <= settings.newton_tol,
+        norms[-1] <= spec.newton_tol,
         factorizations,
         solver,
         linear_iters,
@@ -535,9 +543,9 @@ def continue_to_one(spec, callback=None):
     Refuses to run when the hypothesis check fails (HypothesisError).  The
     first step solves the t=0 problem from the starting sphere; a failure
     there aborts with ContinuationFailure at once.  Later steps in t start
-    at t_step_initial, halve after a failed step, double after two
-    consecutive accepted steps (capped at t_step_max), and a step below
-    t_step_min aborts with ContinuationFailure, whose `reason` is the
+    at T_STEP_INITIAL, halve after a failed step, double after two
+    consecutive accepted steps (capped at T_STEP_MAX), and a step below
+    T_STEP_MIN aborts with ContinuationFailure, whose `reason` is the
     Newton error or non-convergence of the last failed solve.  Each step
     is corrected by chord Newton (`newton_solve`) starting from the kept
     Jacobian and preconditioner of the last accepted step, so a Jacobian
@@ -549,12 +557,11 @@ def continue_to_one(spec, callback=None):
     if not hypothesis.passed:
         raise HypothesisError(hypothesis)
 
-    settings = spec.solver
     rho = initial_solution(spec)
     solver = None
     steps = []
     t = target = 0.0
-    dt = settings.t_step_initial
+    dt = T_STEP_INITIAL
     consecutive = 0
     while t < 1.0:
         begin = time.perf_counter()
@@ -571,7 +578,7 @@ def continue_to_one(spec, callback=None):
         if reason is not None:
             consecutive = 0
             dt *= 0.5
-            if not steps or dt < settings.t_step_min:
+            if not steps or dt < T_STEP_MIN:
                 raise ContinuationFailure(t, rho, SolveReport(steps, hypothesis), reason)
         else:
             rho = newton.rho
@@ -584,9 +591,9 @@ def continue_to_one(spec, callback=None):
                 t = target
                 consecutive += 1
                 if consecutive >= 2:
-                    dt = min(2.0 * dt, settings.t_step_max)
+                    dt = min(2.0 * dt, T_STEP_MAX)
                     consecutive = 0
-        dt = min(dt, settings.t_step_max, 1.0 - t)
+        dt = min(dt, T_STEP_MAX, 1.0 - t)
         target = 1.0 if (1.0 - t) - dt < 1e-12 else t + dt
 
     return rho, SolveReport(steps, hypothesis)

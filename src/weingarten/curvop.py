@@ -22,7 +22,7 @@ stencils that build the jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .spheregeom import SphereGrid, _raw_derivatives, geometry, local_geometry
 
 __all__ = [
     "AdmissibilityError",
-    "SolverSettings",
     "ProblemSpec",
     "alpha_blend",
     "residual",
@@ -59,30 +58,11 @@ class AdmissibilityError(ArithmeticError):
 
 
 @dataclass
-class SolverSettings:
-    """Newton and continuation tuning knobs."""
-
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
-    max_backtracks: int = 8
-    t_step_initial: float = 0.1
-    t_step_max: float = 0.25
-    t_step_min: float = 1e-4
-
-    def __post_init__(self):
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
-        if not 0 < self.t_step_min <= self.t_step_initial <= self.t_step_max <= 1:
-            raise ValueError("need 0 < t_step_min <= t_step_initial <= t_step_max <= 1")
-
-
-@dataclass
 class ProblemSpec:
     """One prescription problem: cone order, barrier radii, coefficient
     expressions alpha_0..alpha_{k-1}, deformation profile phi, grid and
-    solver settings.  Expressions may be given as text or parsed ASTs."""
+    the residual max-norm at which Newton stops.  Expressions may be given
+    as text or parsed ASTs."""
 
     k: int
     n: int
@@ -91,7 +71,7 @@ class ProblemSpec:
     alphas: tuple
     phi: object
     grid: SphereGrid
-    solver: SolverSettings = field(default_factory=SolverSettings)
+    newton_tol: float = 1e-10
 
     def __post_init__(self):
         if self.n != 2:
@@ -100,6 +80,8 @@ class ProblemSpec:
             raise ValueError(f"need 2 <= k <= n, got k={self.k}, n={self.n}")
         if not 0 < self.r1 < self.r2:
             raise ValueError("need 0 < r1 < r2")
+        if not self.newton_tol > 0:
+            raise ValueError("newton_tol must be positive")
         alphas = tuple(
             parse(a) if isinstance(a, str) else a for a in self.alphas
         )

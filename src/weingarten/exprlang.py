@@ -27,7 +27,6 @@ __all__ = [
     "Call",
     "parse",
     "evaluate",
-    "to_text",
     "radial_derivative",
 ]
 
@@ -323,57 +322,6 @@ def evaluate(node, env, key=None):
         else:  # "max"
             out = np.maximum(args[0], args[1])
         return _check_finite(out, node.pos, key)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-_PREC_SUM = 1
-_PREC_PRODUCT = 2
-_PREC_UNARY = 3
-_PREC_POWER = 4
-_PREC_ATOM = 9
-
-
-def _prec(node):
-    if isinstance(node, Binary):
-        if node.op in ("+", "-"):
-            return _PREC_SUM
-        if node.op in ("*", "/"):
-            return _PREC_PRODUCT
-        return _PREC_POWER
-    if isinstance(node, Unary):
-        return _PREC_UNARY
-    return _PREC_ATOM
-
-
-def to_text(node):
-    """Canonical text form; parse(to_text(parse(s))) reproduces the AST."""
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Unary):
-        inner = to_text(node.operand)
-        if _prec(node.operand) < _PREC_UNARY:
-            inner = f"({inner})"
-        return f"-{inner}"
-    if isinstance(node, Binary):
-        mine = _prec(node)
-        left = to_text(node.left)
-        right = to_text(node.right)
-        if node.op == "^":
-            # right-associative and tighter than unary minus
-            if _prec(node.left) <= mine:
-                left = f"({left})"
-            if _prec(node.right) < mine:
-                right = f"({right})"
-        else:
-            if _prec(node.left) < mine:
-                left = f"({left})"
-            if _prec(node.right) <= mine:
-                right = f"({right})"
-        return f"{left} {node.op} {right}" if node.op in "+-" else f"{left}{node.op}{right}"
-    if isinstance(node, Call):
-        return f"{node.func}({', '.join(to_text(a) for a in node.args)})"
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -9,7 +9,7 @@ replaced by its mean over every theta ring, the operator therefore splits
 under an rfft in phi into nphi/2+1 complex tridiagonal systems in theta,
 one per Fourier mode k, in which the ghost row becomes the factor (-1)^k
 on the pole row's own diagonal.  The systems are factored once per build
-and solved by a batched Thomas sweep: the latitude-FFT, longitude-
+and solved by a batched Thomas sweep: the longitude-FFT, latitude-
 tridiagonal splitting of Swarztrauber (J. Comput. Phys. 15, 1974).  On an
 axisymmetric iterate the ring means are the partials and the
 preconditioner is J^-1; elsewhere GMRES (Saad & Schultz, 1986) makes up

@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 
 import weingarten
-from weingarten import cli, spheregeom
+from weingarten import cli, continuation, spheregeom
 from weingarten.config import ConfigError, load_config
-from weingarten.curvop import SolverSettings
-from weingarten.exprlang import parse, to_text
+from weingarten.exprlang import parse
 from weingarten.export import read_solution_csv, write_solution_csv
 
 BENCHMARK = """\
@@ -30,10 +29,9 @@ phi = "2.5/rho"
 ntheta = {ntheta}
 nphi = {nphi}
 
-{extra}
 [output]
 directory = {outdir}
-"""
+{extra}"""
 
 
 def write_cfg(tmp_path, name="run.cfg", ntheta=8, nphi=16, outdir="out",
@@ -52,9 +50,8 @@ def test_load_config_benchmark(tmp_path):
     assert spec.k == 2 and spec.n == 2
     assert spec.r1 == 1.0 and spec.r2 == 4.0
     assert spec.grid.shape == (8, 16)
-    assert spec.solver.newton_tol == 1e-10
+    assert spec.newton_tol == 1e-10
     assert cfg.outdir == tmp_path / "out"
-    assert cfg.write_csv and cfg.write_mesh and cfg.write_report
 
 
 def test_load_config_defaults(tmp_path):
@@ -65,7 +62,16 @@ def test_load_config_defaults(tmp_path):
     assert cfg.problem.k == 2
     assert cfg.problem.grid.shape == (32, 64)
     assert cfg.outdir == tmp_path / "out"
-    assert cfg.verbosity == 1
+    assert cfg.problem.newton_tol == 1e-10
+
+
+@pytest.mark.parametrize(
+    "path", sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")),
+    ids=lambda path: path.name,
+)
+def test_shipped_config_loads(path):
+    # a key the loader no longer knows makes this raise ConfigError
+    load_config(path)
 
 
 def test_load_config_rejects_missing_file(tmp_path):
@@ -91,20 +97,16 @@ def test_load_config_rejects_bad_grid(tmp_path):
         load_config(write_cfg(tmp_path, nphi=15))
 
 
-def test_load_config_rejects_bad_boolean(tmp_path):
-    body = BENCHMARK.format(ntheta=8, nphi=16, outdir="out", extra="")
-    body += "csv = maybe\n"
-    with pytest.raises(ConfigError):
-        load_config(write_cfg(tmp_path, body=body))
-
-
 # names the run would not read: a misspelled key or section, keys in
-# [DEFAULT], and an alpha past alpha{k-1}
+# [DEFAULT], an alpha past alpha{k-1}, and keys that runs may no longer set
+# (extra text lands in [output])
 UNKNOWN_NAMES = {
     "misspelled-key": ("[solver]\nnewton_tl = 1e-30\n", "unknown key 'newton_tl' in [solver]"),
     "misspelled-section": ("[solvr]\nnewton_tol = 1e-30\n", "unknown section [solvr] in {cfg}"),
-    "default-section": ("[DEFAULT]\nverbosity = 0\n", "unknown section [DEFAULT] in {cfg}"),
+    "default-section": ("[DEFAULT]\nnewton_tol = 1e-9\n", "unknown section [DEFAULT] in {cfg}"),
     "alpha-past-k": ("", "unknown key 'alpha1' in [problem]"),
+    "removed-solver-key": ("[solver]\nt_step_min = 1e-4\n", "unknown key 't_step_min' in [solver]"),
+    "removed-output-key": ("mesh = false\n", "unknown key 'mesh' in [output]"),
 }
 
 
@@ -126,16 +128,12 @@ def test_readme_config_example_loads_with_the_defaults(tmp_path):
     cfg = load_config(write_cfg(tmp_path, body=block))
     spec = cfg.problem
     assert (spec.k, spec.n, spec.r1, spec.r2) == (2, 2, 1.0, 4.0)
-    assert [to_text(alpha) for alpha in spec.alphas] == [
-        to_text(parse("(0.6 - 0.05*rho)/rho^2")), to_text(parse("0.25/rho"))
-    ]
-    assert to_text(spec.phi) == to_text(parse("2.5/rho"))
+    assert spec.alphas == (parse("(0.6 - 0.05*rho)/rho^2"), parse("0.25/rho"))
+    assert spec.phi == parse("2.5/rho")
     # the example shows the default of every optional key
     assert spec.grid.shape == (32, 64)
-    assert spec.solver == SolverSettings()
+    assert spec.newton_tol == 1e-10
     assert cfg.outdir == tmp_path / "out"
-    assert cfg.write_csv and cfg.write_mesh and cfg.write_report
-    assert cfg.verbosity == 1
 
 
 def test_check_passes_on_benchmark(tmp_path, capsys):
@@ -256,20 +254,6 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert np.abs(rho - 2.0).max() < 1e-6
 
 
-def test_solve_respects_output_switches(tmp_path, capsys):
-    body = BENCHMARK.format(ntheta=8, nphi=16, outdir="out", extra="")
-    body = body.replace("[output]\ndirectory = out\n",
-                        "[output]\ndirectory = out\nmesh = false\nreport = false\n")
-    cfg = write_cfg(tmp_path, body=body)
-    code = cli.main(["solve", str(cfg)])
-    assert code == 0
-    outdir = tmp_path / "out"
-    assert (outdir / "solution.csv").is_file()
-    assert not (outdir / "surface.obj").exists()
-    assert not (outdir / "solve_report.json").exists()
-    assert not (outdir / "hypothesis_report.json").exists()
-
-
 def test_solve_refuses_failing_hypotheses(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     text = cfg.read_text().replace('"0.25/rho"', '"0.6/rho"')
@@ -279,8 +263,9 @@ def test_solve_refuses_failing_hypotheses(tmp_path, capsys):
     assert "not solving" in capsys.readouterr().out
 
 
-def test_solve_reports_stall(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, extra="[solver]\nnewton_max_iter = 1\n")
+def test_solve_reports_stall(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(continuation, "NEWTON_MAX_ITER", 1)
+    cfg = write_cfg(tmp_path)
     code = cli.main(["solve", str(cfg)])
     assert code == 3
     assert "stalled" in capsys.readouterr().out

@@ -22,7 +22,7 @@ from weingarten.continuation import (
     monitors,
     newton_solve,
 )
-from weingarten.curvop import ProblemSpec, SolverSettings, jacobian
+from weingarten.curvop import ProblemSpec, jacobian
 from weingarten.exprlang import ExprEvalError
 from weingarten.spheregeom import SphereGrid, geometry
 
@@ -158,7 +158,7 @@ def test_newton_converges_from_nearby_sphere():
     assert np.abs(result.rho - 2.5).max() < 1e-8
     norms = result.residual_norms
     assert all(b < a for a, b in zip(norms, norms[1:]))
-    assert norms[-1] <= spec.solver.newton_tol
+    assert norms[-1] <= spec.newton_tol
 
 
 def test_newton_converges_at_final_time():
@@ -189,16 +189,18 @@ def test_newton_drops_a_stale_factorization(sign):
         assert norms == newton_solve(spec, start, 1.0).residual_norms
 
 
-def test_newton_reports_nonconvergence_without_raising():
-    spec = benchmark_spec(solver=SolverSettings(newton_max_iter=1))
+def test_newton_reports_nonconvergence_without_raising(monkeypatch):
+    monkeypatch.setattr(continuation, "NEWTON_MAX_ITER", 1)
+    spec = benchmark_spec()
     result = newton_solve(spec, np.full(spec.grid.shape, 3.2), 1.0)
     assert not result.converged
     assert result.iterations == 1
 
 
-def test_newton_stagnates_without_backtracking():
+def test_newton_stagnates_without_backtracking(monkeypatch):
     # from 3.9 the full step overshoots and no halving is allowed
-    spec = benchmark_spec(solver=SolverSettings(max_backtracks=0))
+    monkeypatch.setattr(continuation, "MAX_BACKTRACKS", 0)
+    spec = benchmark_spec()
     with pytest.raises(StagnationError):
         newton_solve(spec, np.full(spec.grid.shape, 3.9), 1.0)
 
@@ -296,10 +298,9 @@ def test_continuation_refuses_bad_coefficients():
     assert "weighted_monotone" in exc.value.report.failed_names
 
 
-def test_continuation_stalls_with_crippled_newton():
-    spec = benchmark_spec(
-        grid=SphereGrid(8, 16), solver=SolverSettings(newton_max_iter=1)
-    )
+def test_continuation_stalls_with_crippled_newton(monkeypatch):
+    monkeypatch.setattr(continuation, "NEWTON_MAX_ITER", 1)
+    spec = benchmark_spec(grid=SphereGrid(8, 16))
     with pytest.raises(ContinuationFailure) as exc:
         continue_to_one(spec)
     assert 0.0 <= exc.value.t_last < 1.0
@@ -310,7 +311,7 @@ def test_continuation_stalls_with_crippled_newton():
 def test_continuation_fails_fast_when_the_t0_solve_fails(monkeypatch):
     # |F| cannot reach 1e-17 at t=0: after one Newton solve the stall is
     # reported at t=0 with the starting sphere, and no step is recorded
-    spec = benchmark_spec(grid=SphereGrid(8, 16), solver=SolverSettings(newton_tol=1e-17))
+    spec = benchmark_spec(grid=SphereGrid(8, 16), newton_tol=1e-17)
     solves = []
 
     def counting_newton_solve(*args, **kwargs):

@@ -9,7 +9,6 @@ import pytest
 from weingarten.curvop import (
     AdmissibilityError,
     ProblemSpec,
-    SolverSettings,
     alpha_blend,
     concavity_check,
     ellipticity_check,
@@ -72,15 +71,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(k=2, n=2, r1=1.0, r2=4.0, alphas=(ALPHA0,),
                     phi=PROFILE, grid=grid)
-
-
-def test_solver_settings_validation():
     with pytest.raises(ValueError):
-        SolverSettings(newton_tol=0.0)
-    with pytest.raises(ValueError):
-        SolverSettings(t_step_min=0.5, t_step_max=0.25)
-    with pytest.raises(ValueError):
-        SolverSettings(newton_max_iter=0)
+        benchmark_spec(grid=grid, newton_tol=0.0)
 
 
 def test_round_ratio():

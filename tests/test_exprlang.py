@@ -1,5 +1,5 @@
-"""Coefficient expression language: parsing, evaluation, printing,
-error reporting with byte offsets, and the evaluation environment."""
+"""Coefficient expression language: parsing, evaluation, error
+reporting with byte offsets, and the evaluation environment."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ from weingarten.exprlang import (
     evaluate,
     parse,
     radial_derivative,
-    to_text,
 )
 
 
@@ -146,30 +145,6 @@ def test_ast_shape():
     assert node == Unary("-", Binary("^", Var("rho"), Const(2.0)))
     node = parse("min(rho, 2)")
     assert node == Call("min", (Var("rho"), Const(2.0)))
-
-
-def test_to_text_round_trips():
-    texts = [
-        "rho*2 + 1",
-        "-(rho + 1)*2^-x1",
-        "min(rho, 2)*max(x3, 0.5)",
-        "(0.6 - 0.05*rho)/rho^2",
-        "exp(-rho)*sin(x1 + x2)",
-        "1/(1 + u^2)",
-        "rho^-2",
-        "-(-rho)",
-    ]
-    for text in texts:
-        node = parse(text)
-        printed = to_text(node)
-        assert parse(printed) == node
-        # printing is idempotent
-        assert to_text(parse(printed)) == printed
-
-
-def test_to_text_drops_redundant_parens():
-    assert to_text(parse("(rho*2) + 1")) == "rho*2.0 + 1.0"
-    assert to_text(parse("((rho))")) == "rho"
 
 
 def test_radial_derivative():
