@@ -6,6 +6,13 @@ concavity."""
 import numpy as np
 import pytest
 
+from weingarten.continuation import (
+    MAX_BACKTRACKS,
+    NEWTON_MAX_ITER,
+    T_STEP_INITIAL,
+    T_STEP_MAX,
+    T_STEP_MIN,
+)
 from weingarten.curvop import (
     AdmissibilityError,
     ProblemSpec,
@@ -73,6 +80,19 @@ def test_spec_validation():
                     phi=PROFILE, grid=grid)
     with pytest.raises(ValueError):
         benchmark_spec(grid=grid, newton_tol=0.0)
+
+
+def test_solver_settings_validation():
+    # the Newton tolerance is the one solver setting left; it lives on the spec
+    grid = SphereGrid(8, 16)
+    for bad in (0.0, -1e-10, float("nan")):
+        with pytest.raises(ValueError):
+            benchmark_spec(grid=grid, newton_tol=bad)
+    assert benchmark_spec(grid=grid, newton_tol=1e-9).newton_tol == 1e-9
+    # the step rule and Newton cap are constants now; keep them consistent
+    assert 0 < T_STEP_MIN <= T_STEP_INITIAL <= T_STEP_MAX
+    assert NEWTON_MAX_ITER >= 1
+    assert MAX_BACKTRACKS >= 0
 
 
 def test_round_ratio():
