@@ -194,10 +194,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SolutionFormatError, ExprEvalError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as err:
+    except (ConfigError, SolutionFormatError, ExprEvalError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

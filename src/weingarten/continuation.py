@@ -176,24 +176,25 @@ def _band_env(radii, directions):
     return EvalEnv(rr, x1, x2, x3)
 
 
-def _location(rho, d1, d2, d3):
-    """Where a sample sits: its radius, u = cos(theta), and the polar and
-    azimuthal angles theta, phi of its unit direction (d1, d2, d3)."""
-    return {
-        "rho": float(rho),
-        "u": float(d3),
+def _worst(margins, radii, dirs):
+    """Minimum of a margin field sampled radius-major on radii x dirs, and
+    where it sits: the radius, u = cos(theta), and the polar and azimuthal
+    angles theta, phi of the lattice direction.  A stacked (k, N) field,
+    one row per coefficient alpha_l, also names l; ties go to the lowest
+    l, then the first sample."""
+    idx = int(np.argmin(margins))
+    shape = np.shape(margins)[:-1] + (radii.size, dirs[0].size)
+    *layer, i, j = np.unravel_index(idx, shape)
+    d1, d2, d3 = (float(d[j]) for d in dirs)
+    location = {
+        "rho": float(radii[i]),
+        "u": d3,
         "theta": math.acos(max(-1.0, min(1.0, d3))),
         "phi": math.atan2(d2, d1) % (2.0 * math.pi),
     }
-
-
-def _worst(values, env):
-    # constant expressions evaluate to scalars; spread them over the lattice
-    values = np.broadcast_to(np.asarray(values, dtype=float), np.shape(env.rho))
-    idx = int(np.argmin(values))
-    rho = float(np.ravel(env.rho)[idx])
-    direction = (float(np.ravel(x)[idx]) / rho for x in (env.x1, env.x2, env.x3))
-    return float(values.ravel()[idx]), _location(rho, *direction)
+    if layer:
+        location["l"] = int(layer[0])
+    return float(np.ravel(margins)[idx]), location
 
 
 def check_hypotheses(spec):
@@ -211,14 +212,20 @@ def check_hypotheses(spec):
     k, n = spec.k, spec.n
     r1, r2 = spec.r1, spec.r2
     dirs = _direction_lattice()
+    ndir = dirs[0].size
     sig_e = [math.comb(n, j) for j in range(n + 1)]
 
-    band_outer = np.linspace(r2, 2.0 * r2, SAMPLES)
-    band_inner = np.linspace(0.5 * r1, r1, SAMPLES)
-    band_shell = np.linspace(r1, r2, SAMPLES)
-    band_full = np.linspace(0.5 * r1, 2.0 * r2, 2 * SAMPLES)
+    outer = np.linspace(r2, 2.0 * r2, SAMPLES)
+    inner = np.linspace(0.5 * r1, r1, SAMPLES)
+    shell = np.linspace(r1, r2, SAMPLES)
+    full = np.linspace(0.5 * r1, 2.0 * r2, 2 * SAMPLES)
+    env_outer, env_inner, env_shell, env_full = (
+        _band_env(radii, dirs) for radii in (outer, inner, shell, full)
+    )
 
-    entries = {}
+    def sampled(values, env):
+        # constant expressions evaluate to scalars; spread them over the band
+        return np.broadcast_to(np.asarray(values, dtype=float), env.rho.shape)
 
     def shell_gap(env):
         gap = sig_e[k] / env.rho**k
@@ -226,85 +233,50 @@ def check_hypotheses(spec):
             gap = gap - evaluate(alpha, env, f"alpha{l}") * sig_e[l] / env.rho**l
         return gap
 
-    env_outer = _band_env(band_outer, dirs)
-    margin, location = _worst(shell_gap(env_outer), env_outer)
-    ndir = dirs[0].size
-    boundary = float(np.min(shell_gap(env_outer)[:ndir]))
-    entries["shell_outer"] = HypothesisEntry(
-        "shell_outer", False, margin, location, boundary_margin=boundary
-    )
+    def profile(env):
+        return sampled(evaluate(spec.phi, env, "phi"), env)
 
-    env_inner = _band_env(band_inner, dirs)
-    margin, location = _worst(-shell_gap(env_inner), env_inner)
-    boundary = float(np.min(-shell_gap(env_inner)[-ndir:]))
-    entries["shell_inner"] = HypothesisEntry(
-        "shell_inner", False, margin, location, boundary_margin=boundary
-    )
-
-    env_shell = _band_env(band_shell, dirs)
-    worst_margin = math.inf
-    worst_location = {}
+    gap_outer = shell_gap(env_outer)
+    gap_inner = -shell_gap(env_inner)
     fd_step = min(1e-5, 0.25 * r1)
-    for l, alpha in enumerate(spec.alphas):
-        weighted = Binary("*", Binary("^", Var("rho"), Const(float(k - l))), alpha)
-        slope = radial_derivative(weighted, env_shell, h=fd_step, key=f"alpha{l}")
-        margin, location = _worst(-slope, env_shell)
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_location = dict(location, l=l)
-    entries["weighted_monotone"] = HypothesisEntry(
-        "weighted_monotone", False, worst_margin, worst_location
-    )
+    slopes = np.stack([
+        sampled(radial_derivative(
+            Binary("*", Binary("^", Var("rho"), Const(float(k - l))), alpha),
+            env_shell, h=fd_step, key=f"alpha{l}",
+        ), env_shell)
+        for l, alpha in enumerate(spec.alphas)
+    ])
+    alpha_shell = np.stack([
+        sampled(evaluate(alpha, env_shell, f"alpha{l}"), env_shell)
+        for l, alpha in enumerate(spec.alphas)
+    ])
+    profile_full = profile(env_full)
+    # the drop along each ray: each radius sample minus the next one out
+    per_ray = profile_full.reshape(full.size, ndir)
+    drops = (per_ray[:-1] - per_ray[1:]).ravel()
 
-    worst_margin = math.inf
-    worst_location = {}
-    for l, alpha in enumerate(spec.alphas):
-        margin, location = _worst(evaluate(alpha, env_shell, f"alpha{l}"), env_shell)
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_location = dict(location, l=l)
-    entries["alpha_positive"] = HypothesisEntry(
-        "alpha_positive", True, worst_margin, worst_location
-    )
-
-    env_full = _band_env(band_full, dirs)
-    profile_full = np.broadcast_to(
-        np.asarray(evaluate(spec.phi, env_full, "phi"), dtype=float), env_full.rho.shape
-    )
-    margin, location = _worst(profile_full, env_full)
-    entries["profile_positive"] = HypothesisEntry(
-        "profile_positive", True, margin, location
-    )
-
-    profile_inner = evaluate(spec.phi, env_inner, "phi")
-    margin, location = _worst(profile_inner - 1.0, env_inner)
-    entries["profile_above_one_inside"] = HypothesisEntry(
-        "profile_above_one_inside", True, margin, location
-    )
-
-    profile_outer = evaluate(spec.phi, env_outer, "phi")
-    margin, location = _worst(1.0 - profile_outer, env_outer)
-    entries["profile_below_one_outside"] = HypothesisEntry(
-        "profile_below_one_outside", True, margin, location
-    )
-
-    # sampled differences along each ray: later radius sample minus earlier
-    per_ray = profile_full.reshape(band_full.size, ndir)
-    drops = per_ray[:-1, :] - per_ray[1:, :]
-    i, j = np.unravel_index(int(np.argmin(drops)), drops.shape)
-    entries["profile_decreasing"] = HypothesisEntry(
-        "profile_decreasing",
-        True,
-        float(drops[i, j]),
-        _location(band_full[i], *(float(d[j]) for d in dirs)),
-    )
-
-    return HypothesisReport(entries)
+    # name, strict, band radii, margin field, worst margin at the barrier radius
+    rows = [
+        ("shell_outer", False, outer, gap_outer, float(gap_outer[:ndir].min())),
+        ("shell_inner", False, inner, gap_inner, float(gap_inner[-ndir:].min())),
+        ("weighted_monotone", False, shell, -slopes, None),
+        ("alpha_positive", True, shell, alpha_shell, None),
+        ("profile_positive", True, full, profile_full, None),
+        ("profile_above_one_inside", True, inner, profile(env_inner) - 1.0, None),
+        ("profile_below_one_outside", True, outer, 1.0 - profile(env_outer), None),
+        ("profile_decreasing", True, full[:-1], drops, None),
+    ]
+    return HypothesisReport({
+        name: HypothesisEntry(name, strict, *_worst(margins, radii, dirs), boundary)
+        for name, strict, radii, margins, boundary in rows
+    })
 
 
 def initial_solution(spec):
     """Constant starting field: the radius where the deformation profile
-    crosses 1, found by bisection on [r1, r2] to 1e-12."""
+    crosses 1, found by bisection on [r1, r2] to 1e-12, or until the
+    midpoint no longer splits the interval (crossings above 2^14 = 16384,
+    where adjacent floats are more than 2e-12 apart)."""
     def profile(r):
         return float(evaluate(spec.phi, EvalEnv(r, 0.0, 0.0, r), "phi")) - 1.0
 
@@ -317,6 +289,8 @@ def initial_solution(spec):
         )
     while hi - lo > 2e-12:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if profile(mid) > 0.0:
             lo = mid
         else:

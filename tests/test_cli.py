@@ -361,6 +361,20 @@ def test_unusable_solution_file_is_bad_input(tmp_path, capsys, command, bad_valu
     assert not (tmp_path / "solution_export.obj").exists()
 
 
+def test_export_to_missing_directory_is_bad_input(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    grid = spheregeom.SphereGrid(8, 16)
+    solution = tmp_path / "solution.csv"
+    write_solution_csv(solution, grid, np.full(grid.shape, 2.0))
+    target = tmp_path / "missing" / "x.obj"
+    argv = ["export", str(solution), str(cfg), "--format", "obj", "--output", str(target)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "solution.csv"]
+
+
 def test_export_to_obj_and_back_to_csv(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert cli.main(["solve", str(cfg)]) == 0

@@ -86,6 +86,52 @@ def test_hypothesis_margins_match_closed_forms():
     assert abs(inner.margin - 0.05) < 1e-10
     # alpha_0 at rho=4: (0.6 - 0.2)/16
     assert abs(report.entries["alpha_positive"].margin - 0.025) < 1e-12
+    # the profile 2.5/rho: least at 2*r2, nearest 1 at r1 and at r2
+    for name, value, rho in [
+        ("profile_positive", 0.3125, 8.0),
+        ("profile_above_one_inside", 1.5, 1.0),
+        ("profile_below_one_outside", 0.375, 4.0),
+    ]:
+        entry = report.entries[name]
+        assert abs(entry.margin - value) < 1e-12
+        assert entry.location["rho"] == rho
+    # the smallest sampled drop is the last one, from the next-to-last
+    # radius of the full band [0.5, 8] to 8
+    r = np.linspace(0.5, 8.0, 96)[94]
+    decreasing = report.entries["profile_decreasing"]
+    assert abs(decreasing.margin - (2.5 / r - 2.5 / 8.0)) < 1e-12
+    assert decreasing.location["rho"] == r
+    # rho*alpha_1 = 0.25 is constant, so the worst slope is l=1's zero;
+    # rho^2*alpha_0 = 0.6 - 0.05*rho has slope -0.05
+    monotone = report.entries["weighted_monotone"]
+    assert monotone.location["l"] == 1
+    assert abs(monotone.margin) <= 1e-10
+    assert all(entry.passed for entry in report.entries.values())
+
+
+def count_evaluate(monkeypatch, budget=None):
+    """Record the key of every call to `continuation.evaluate`, the name
+    the benchmark's layer tracer binds; past `budget` calls, fail."""
+    keys = []
+    real = continuation.evaluate
+
+    def counted(node, env, key=None):
+        keys.append(key)
+        if budget is not None and len(keys) > budget:
+            raise AssertionError(f"more than {budget} coefficient evaluations")
+        return real(node, env, key)
+
+    monkeypatch.setattr(continuation, "evaluate", counted)
+    return keys
+
+
+def test_hypotheses_evaluate_each_coefficient_once_per_band(monkeypatch):
+    # alpha0 and alpha1 on the outer, inner and shell bands, phi on the
+    # outer, inner and full bands
+    keys = count_evaluate(monkeypatch)
+    check_hypotheses(benchmark_spec())
+    assert len(keys) == 9
+    assert {key: keys.count(key) for key in keys} == {"alpha0": 3, "alpha1": 3, "phi": 3}
 
 
 def test_hypothesis_location_names_the_direction_of_an_off_axis_minimum():
@@ -143,6 +189,20 @@ def test_initializer_finds_round_sphere_root():
     # a steeper profile with the same crossing gives the same root
     rho0 = initial_solution(benchmark_spec(phi="(2.5/rho)^2"))
     assert np.abs(rho0 - 2.5).max() < 1e-11
+
+
+def test_initializer_stops_when_floats_run_out(monkeypatch):
+    # the benchmark scaled by 1e4: near 25000 adjacent floats are 3.6e-12
+    # apart, so the bisection can never get the interval below 2e-12
+    spec = ProblemSpec(
+        k=2, n=2, r1=1e4, r2=4e4,
+        alphas=("(0.6 - 0.05*rho/1e4)/rho^2", "0.25/rho"), phi="2.5e4/rho",
+        grid=SphereGrid(8, 16),
+    )
+    assert check_hypotheses(spec).passed
+    count_evaluate(monkeypatch, budget=500)
+    rho0 = initial_solution(spec)
+    assert np.all(rho0 == 25000.0)
 
 
 def test_initializer_requires_profile_crossing():
