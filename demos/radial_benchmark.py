@@ -6,9 +6,9 @@ The coefficients here depend on |X| only, so everything has a closed
 form: the hypothesis margins, the starting sphere rho = 2.5, and the
 final surface rho = 2.  The run certifies the coefficient hypotheses,
 then walks the deformation parameter t from the round-sphere problem
-at t=0 to the target equation at t=1 with a chord Newton corrector
-(one Jacobian and its ring-mean FFT preconditioner kept across
-iterations and steps, each step solved by GMRES).
+at t=0 to the target equation at t=1 with a Newton corrector (each
+iterate builds its Jacobian and ring-mean FFT preconditioner, and each
+step is solved by GMRES).
 """
 
 import numpy as np

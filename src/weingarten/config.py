@@ -88,12 +88,16 @@ def load_config(path):
     for name in parser.sections():
         if name not in KEYS:
             raise ConfigError(f"unknown section [{name}] in {path}")
-        known = KEYS[name] | {f"alpha{l}" for l in range(k) if name == "problem"}
+        # alpha0..alpha{k-1}; k is not range-checked yet, so the list stops
+        # at the key count of [problem], which any complete list fits in
+        known = KEYS[name] | {f"alpha{l}" for l in range(min(k, len(problem))) if name == "problem"}
         for key in parser[name]:
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in [{name}]")
 
     n = _get(problem, "n", int, default=2)
+    if not 2 <= k <= n:
+        raise ConfigError(f"need 2 <= k <= n, got k={k}, n={n}")
     r1 = _get(problem, "r1", float)
     r2 = _get(problem, "r2", float)
 

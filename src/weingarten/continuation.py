@@ -1,14 +1,13 @@
-"""Hypothesis checking, initialization, chord Newton and homotopy driving.
+"""Hypothesis checking, initialization, Newton and homotopy driving.
 
 The solve path is: certify the coefficient data (barrier inequalities at
 the shell radii, monotone weighted coefficients, positivity, deformation
 profile shape), start from the round sphere the profile singles out, and
 walk the homotopy parameter t from 0 to 1 with adaptive steps, each step
-accepted only when a chord Newton iteration converges while staying in
-the admissible cone.  Its linear solves run GMRES on one Jacobian,
-preconditioned by that Jacobian's ring-mean FFT solve (`linsolve`, bound
-here as `spla`); both are kept across iterations and steps and rebuilt
-when they stop contracting.
+accepted only when a Newton iteration converges while staying in the
+admissible cone.  Every Newton iterate builds its Jacobian and that
+Jacobian's ring-mean FFT preconditioner (`linsolve`, bound here as
+`spla`), and solves by GMRES.
 """
 
 from __future__ import annotations
@@ -47,12 +46,8 @@ SAMPLES = 48
 # Tolerance for non-strict hypothesis margins; absorbs finite-difference
 # rounding when the true margin is exactly zero.
 MARGIN_SLACK = 1e-10
-# Newton keeps its Jacobian while each step cuts the residual max-norm at
-# least by this factor; a slower step triggers a fresh Jacobian and
-# preconditioner.
-CONTRACTION_LIMIT = 0.5
-# Newton gives up after this many accepted steps per solve, chord steps
-# included, and a fresh step after this many halvings.
+# Newton gives up after this many accepted steps per solve, and a step
+# after this many halvings.
 NEWTON_MAX_ITER = 50
 MAX_BACKTRACKS = 8
 # Homotopy steps in t: the first, the largest, and the smallest before
@@ -301,85 +296,48 @@ def initial_solution(spec):
 
 @dataclass
 class NewtonResult:
-    """Outcome of one corrector solve.  `solver` is the Jacobian and its
-    preconditioner (a `linsolve.RingMeanSolver`) the solve ended with, for
-    the next solve to reuse; None if it never had one.  `factorizations`
-    counts preconditioner builds, `linear_iters` GMRES iterations."""
+    """Outcome of one corrector solve; `linear_iters` counts GMRES steps."""
 
     rho: np.ndarray
     iterations: int
     residual_norms: list
     converged: bool
-    factorizations: int
-    solver: object
-    linear_iters: int = 0
+    linear_iters: int
 
 
-def newton_solve(spec, rho0, t, solver=None):
-    """Chord Newton on the nodal radii at fixed homotopy time t.
+def newton_solve(spec, rho0, t):
+    """Newton on the nodal radii at fixed homotopy time t.
 
-    Each step solves J delta = -F by GMRES with a kept Jacobian and its
-    ring-mean preconditioner (`spla.splu`, see `linsolve`), to the
-    relative forcing `linsolve.GMRES_RTOL`.  Both are rebuilt at the
-    current iterate only when there are none yet (`solver`, e.g. from the
-    previous continuation step, is used first), when the last accepted
-    step backtracked, or when the residual max-norm fell by less than the
-    factor CONTRACTION_LIMIT.  A step with a reused Jacobian tries the
-    full step once; if that iterate is inadmissible or does not decrease
-    the residual, the same iterate is retried with a fresh one.  A fresh
-    step backtracks by halving until the trial iterate is admissible and
-    the residual strictly decreases, and raises StagnationError or
-    ConeExitError when it cannot.  Stops at the spec's newton_tol or
-    after NEWTON_MAX_ITER accepted steps, chord steps included.
+    Each step builds the Jacobian at the current iterate and its ring-mean
+    preconditioner (`spla.splu`, see `linsolve`), and solves J delta = -F
+    by GMRES to the relative forcing `linsolve.GMRES_RTOL`.  The step
+    backtracks by halving until the trial iterate is admissible and the
+    residual max-norm strictly decreases, and raises StagnationError or
+    ConeExitError when it cannot.  Stops at the spec's newton_tol or after
+    NEWTON_MAX_ITER steps.
     """
-    grid = spec.grid
-    rho = grid.check_field(rho0).copy()
+    rho = spec.grid.check_field(rho0).copy()
     res = residual_field(spec, rho, t)
     norms = [float(np.abs(res).max())]
-    iterations = 0
-    factorizations = 0
     linear_iters = 0
-    backtracked = False
 
-    while norms[-1] > spec.newton_tol and iterations < NEWTON_MAX_ITER:
-        fresh = (
-            solver is None
-            or backtracked
-            or (len(norms) > 1 and norms[-1] > CONTRACTION_LIMIT * norms[-2])
-        )
-        if fresh:
-            try:
-                jac = jacobian(spec, rho, t)
-            except AdmissibilityError as err:
-                raise ConeExitError(
-                    f"admissibility lost while probing the Jacobian: {err}"
-                ) from err
-            solver = spla.splu(jac)
-            factorizations += 1
-        delta, gmres_iters = solver.solve(-res)
+    while norms[-1] > spec.newton_tol and len(norms) <= NEWTON_MAX_ITER:
+        delta, gmres_iters = spla.splu(jacobian(spec, rho, t)).solve(-res)
         linear_iters += gmres_iters
 
-        # a reused Jacobian gets one full-step trial, a fresh one the line search
-        step = 1.0
-        accepted = False
         saw_admissible = False
-        for _ in range(MAX_BACKTRACKS + 1 if fresh else 1):
-            trial = rho + step * delta
-            if np.all(trial > 0.0):
-                try:
-                    trial_res = residual_field(spec, trial, t)
-                except AdmissibilityError:
-                    trial_res = None
-                if trial_res is not None:
-                    saw_admissible = True
-                    if float(np.abs(trial_res).max()) < norms[-1]:
-                        accepted = True
-                        break
-            step *= 0.5
-        if not accepted:
-            if not fresh:
-                solver = None
+        for halvings in range(MAX_BACKTRACKS + 1):
+            trial = rho + 0.5**halvings * delta
+            if not np.all(trial > 0.0):
                 continue
+            try:
+                trial_res = residual_field(spec, trial, t)
+            except AdmissibilityError:
+                continue
+            saw_admissible = True
+            if float(np.abs(trial_res).max()) < norms[-1]:
+                break
+        else:
             if saw_admissible:
                 raise StagnationError(
                     f"no residual decrease after {MAX_BACKTRACKS} halvings "
@@ -392,18 +350,8 @@ def newton_solve(spec, rho0, t, solver=None):
         rho = trial
         res = trial_res
         norms.append(float(np.abs(res).max()))
-        iterations += 1
-        backtracked = step < 1.0
 
-    return NewtonResult(
-        rho,
-        iterations,
-        norms,
-        norms[-1] <= spec.newton_tol,
-        factorizations,
-        solver,
-        linear_iters,
-    )
+    return NewtonResult(rho, len(norms) - 1, norms, norms[-1] <= spec.newton_tol, linear_iters)
 
 
 @dataclass
@@ -412,7 +360,6 @@ class SolveStep:
 
     t: float
     newton_iters: int
-    factorizations: int
     linear_iters: int
     residual_inf: float
     rho_min: float
@@ -430,7 +377,6 @@ class SolveStep:
         return {
             "t": self.t,
             "newton_iters": self.newton_iters,
-            "factorizations": self.factorizations,
             "linear_iters": self.linear_iters,
             "residual_inf": self.residual_inf,
             "rho_min": self.rho_min,
@@ -500,7 +446,6 @@ def _record_step(spec, rho, t, newton, wall_ms):
     return SolveStep(
         t=t,
         newton_iters=newton.iterations,
-        factorizations=newton.factorizations,
         linear_iters=newton.linear_iters,
         residual_inf=newton.residual_norms[-1],
         wall_ms=wall_ms,
@@ -521,10 +466,8 @@ def continue_to_one(spec, callback=None):
     consecutive accepted steps (capped at T_STEP_MAX), and a step below
     T_STEP_MIN aborts with ContinuationFailure, whose `reason` is the
     Newton error or non-convergence of the last failed solve.  Each step
-    is corrected by chord Newton (`newton_solve`) starting from the kept
-    Jacobian and preconditioner of the last accepted step, so a Jacobian
-    and its preconditioner are built only when the reused one stops
-    contracting.  Returns the final field and a SolveReport with one row
+    is corrected by Newton (`newton_solve`) from the field of the last
+    accepted step.  Returns the final field and a SolveReport with one row
     per accepted step, the t=0 solve included.
     """
     hypothesis = check_hypotheses(spec)
@@ -532,7 +475,6 @@ def continue_to_one(spec, callback=None):
         raise HypothesisError(hypothesis)
 
     rho = initial_solution(spec)
-    solver = None
     steps = []
     t = target = 0.0
     dt = T_STEP_INITIAL
@@ -540,7 +482,7 @@ def continue_to_one(spec, callback=None):
     while t < 1.0:
         begin = time.perf_counter()
         try:
-            newton = newton_solve(spec, rho, target, solver=solver)
+            newton = newton_solve(spec, rho, target)
             reason = None if newton.converged else (
                 f"not converged after {newton.iterations} iterations "
                 f"(t={target:.4f}, |F|={newton.residual_norms[-1]:.3e})"
@@ -556,7 +498,6 @@ def continue_to_one(spec, callback=None):
                 raise ContinuationFailure(t, rho, SolveReport(steps, hypothesis), reason)
         else:
             rho = newton.rho
-            solver = newton.solver
             step = _record_step(spec, rho, target, newton, wall_ms)
             steps.append(step)
             if callback is not None:

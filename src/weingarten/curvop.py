@@ -28,7 +28,9 @@ import numpy as np
 
 from . import symmfunc
 from .exprlang import evaluate, parse
-from .spheregeom import SphereGrid, _raw_derivatives, geometry, local_geometry
+from .spheregeom import (
+    SphereGrid, _metric_parts, _norm, _raw_derivatives, _second_form_parts, geometry
+)
 
 __all__ = [
     "AdmissibilityError",
@@ -105,6 +107,22 @@ def alpha_blend(spec, env, t):
     return t * target + (1.0 - t) * source
 
 
+def _admissible_sigma1(geom):
+    """sigma_1 of geom; AdmissibilityError at the first node where it is
+    not positive (kappa outside Gamma_1)."""
+    sigma1 = geom.sigma1
+    if np.any(sigma1 <= 0.0):
+        bad = tuple(np.argwhere(sigma1 <= 0.0)[0].tolist())
+        raise AdmissibilityError(bad, 1)
+    return sigma1
+
+
+def _coefficients(spec, env, t):
+    """The residual's coefficient terms at the points of env: t * alpha_0
+    and the deformed top coefficient alpha_1(X, t)."""
+    return t * evaluate(spec.alphas[0], env, "alpha0"), alpha_blend(spec, env, t)
+
+
 def residual(spec, geom, t):
     """Per-node residual of the deformed equation at homotopy time t, for
     k = n = 2 (the only case ProblemSpec accepts):
@@ -114,15 +132,11 @@ def residual(spec, geom, t):
     Requires kappa in Gamma_1 (sigma_1 > 0) at every node; raises
     AdmissibilityError (with the offending node) otherwise.
     """
-    sigma1 = geom.sigma1
-    if np.any(sigma1 <= 0.0):
-        bad = tuple(np.argwhere(sigma1 <= 0.0)[0].tolist())
-        raise AdmissibilityError(bad, 1)
-
-    env = geom.grid.node_env(geom.rho)
+    sigma1 = _admissible_sigma1(geom)
+    t_alpha0, blend = _coefficients(spec, geom.grid.node_env(geom.rho), t)
     out = geom.sigma2 / sigma1
-    out = out - t * evaluate(spec.alphas[0], env, "alpha0") / sigma1
-    out = out - alpha_blend(spec, env, t)
+    out = out - t_alpha0 / sigma1
+    out = out - blend
     if not np.all(np.isfinite(out)):
         bad = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
         raise FloatingPointError(f"non-finite residual at node {bad}")
@@ -132,13 +146,6 @@ def residual(spec, geom, t):
 def residual_field(spec, rho, t):
     """Residual of a radius field: geometry plus residual in one call."""
     return residual(spec, geometry(spec.grid, rho), t)
-
-
-def _jet_residual(spec, jets, m, value, t):
-    """Residual with jet m replaced by value at every node."""
-    trial = list(jets)
-    trial[m] = value
-    return residual(spec, local_geometry(spec.grid, trial[0], trial[1:]), t)
 
 
 @dataclass(frozen=True)
@@ -162,34 +169,77 @@ class Linearization:
         return out
 
 
-def jacobian(spec, rho, t):
-    """The Jacobian of the residual at rho by the chain rule, as a
-    `Linearization`.  The partials dF/dq_m are per node: central
-    differences of `residual` in one jet at a time, all nodes at once,
-    step eps^(1/3) * max(s_m, |q_m|) with s_m the jet's natural scale (sin
-    theta per phi derivative, else 1), which balances truncation against
-    rounding.  No difference is taken across the large stencil weights
-    that cancel near the poles, and the stencils annihilate constants, so
-    J 1 is dF/drho up to rounding.
+def _form_partials(grid, geom, w, t_alpha0, sigma1):
+    """dF/dg and the second-jet partials -(rho/w) dF/dh per node, each as
+    (tt, tp, pp).  The curvature part of the residual is the quotient
+    (det h - t alpha_0 det g) / D, D = g_pp h_tt - 2 g_tp h_tp + g_tt h_pp
+    = det g * sigma_1; g and h die on return."""
+    quotient = (geom.sigma2 - t_alpha0) / sigma1
+    g_tt, g_tp, g_pp = _metric_parts(grid, geom.rho, *geom.jets[:2])
+    h_tt, h_tp, h_pp = _second_form_parts(grid, geom.rho, geom.jets, w)
+    inv_d = 1.0 / (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp)
+    f_g = (
+        -(t_alpha0 * g_pp + quotient * h_pp) * inv_d,
+        2.0 * (t_alpha0 * g_tp + quotient * h_tp) * inv_d,
+        -(t_alpha0 * g_tt + quotient * h_tt) * inv_d,
+    )
+    inv_d *= -geom.rho / w
+    return f_g, (
+        (h_pp - quotient * g_pp) * inv_d,
+        -2.0 * (h_tp - quotient * g_tp) * inv_d,
+        (h_tt - quotient * g_tt) * inv_d,
+    )
 
-    Every perturbed evaluation goes through `residual`, so one that leaves
-    the admissible cone raises AdmissibilityError.
+
+def jacobian(spec, rho, t):
+    """The Jacobian of the residual at rho, as a `Linearization`.
+
+    The residual reads the jets only through the fundamental forms g and
+    h, so by the chain rule each partial dF/dq_m contracts dF/dg and dF/dh
+    (`_form_partials`) with the explicit derivatives of g = (rho^2 +
+    rho_t^2, rho_t rho_p, rho^2 sin^2 + rho_p^2) and of h = (rho/w) B,
+    w = sqrt(rho^2 + |D rho|^2), whose B is linear in the second jets.
+    The coefficients' slope in the radius is one central difference along
+    each node's ray, step eps^(1/3) rho.  Raises AdmissibilityError where
+    sigma_1 <= 0, as `residual` does.
     """
     grid = spec.grid
-    base = geometry(grid, rho)
-    jets = (base.rho,) + base.jets
-    sin_theta = grid.sin_theta[:, None]
-    scales = (1.0, 1.0, sin_theta, 1.0, sin_theta, sin_theta * sin_theta)
-    rel_step = np.finfo(float).eps ** (1.0 / 3.0)
+    geom = geometry(grid, rho)
+    sigma1 = _admissible_sigma1(geom)
+    rho, (r_t, r_p) = geom.rho, geom.jets[:2]
+    env = grid.node_env(rho)
+    t_alpha0 = t * evaluate(spec.alphas[0], env, "alpha0")
+    step = np.finfo(float).eps ** (1.0 / 3.0) * rho
+    (up_a0, up_blend), (down_a0, down_blend) = (
+        _coefficients(spec, env.along_ray(r), t) for r in (rho + step, rho - step)
+    )
+    slope = ((up_a0 - down_a0) / sigma1 + up_blend - down_blend) / (2.0 * step)
+    del env, up_a0, up_blend, down_a0, down_blend
 
-    partials = np.empty((len(jets),) + grid.shape)
-    for m, (q, scale) in enumerate(zip(jets, scales)):
-        step = rel_step * np.maximum(scale, np.abs(q))
-        plus = q + step
-        minus = q - step
-        partials[m] = (
-            _jet_residual(spec, jets, m, plus, t) - _jet_residual(spec, jets, m, minus, t)
-        ) / (plus - minus)
+    w = _norm(grid, rho, r_t, r_p)
+    (f_tt, f_tp, f_pp), (p_tt, p_tp, p_pp) = _form_partials(grid, geom, w, t_alpha0, sigma1)
+    # h = (rho/w) B, so rho, rho_t and rho_p also scale h through rho/w, with
+    # weight dF/dh . h; by Euler's relation (det h has degree 2 in h, D
+    # degree 1) that weight is (sigma_2 + t alpha_0) / sigma_1
+    euler = (geom.sigma2 + t_alpha0) / sigma1
+    euler_w = euler / (w * w)
+    st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
+    a, b = r_t / rho, r_p / rho
+
+    partials = np.empty((6,) + grid.shape)
+    partials[0] = (
+        2.0 * rho * (f_tt + (st * st) * f_pp) + euler / rho - rho * euler_w - slope
+        - (1.0 - 2.0 * a * a) * p_tt + 2.0 * a * b * p_tp - (st * st - 2.0 * b * b) * p_pp
+    )
+    partials[1] = (
+        2.0 * r_t * f_tt + r_p * f_tp - r_t * euler_w
+        - 4.0 * a * p_tt - 2.0 * b * p_tp + (st * ct) * p_pp
+    )
+    partials[2] = (
+        r_t * f_tp + 2.0 * r_p * f_pp - r_p / (st * st) * euler_w
+        - (grid.cot_theta[:, None] + 2.0 * a) * p_tp - 4.0 * b * p_pp
+    )
+    partials[3:] = p_tt, p_tp, p_pp
     return Linearization(grid, partials)
 
 

@@ -122,8 +122,8 @@ def gmres(matvec, precondition, b):
 
 
 def splu(jac):
-    """Build the preconditioner of the Jacobian `jac` (one build per fresh
-    J); the returned solver's `solve(b)` runs GMRES."""
+    """Build the preconditioner of the Jacobian `jac` (one build per Newton
+    iterate); the returned solver's `solve(b)` runs GMRES."""
     return RingMeanSolver(jac)
 
 

@@ -122,6 +122,15 @@ def test_unknown_config_name_is_bad_input(tmp_path, capsys, command, case):
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_k_is_refused_by_its_range(tmp_path, capsys):
+    # k sizes the alpha0..alpha{k-1} keys; it is range-checked before any
+    # of them is looked up
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace("k = 2", "k = 1000000"))
+    assert cli.main(["check", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: need 2 <= k <= n, got k=1000000, n=2\n"
+
+
 def test_readme_config_example_loads_with_the_defaults(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

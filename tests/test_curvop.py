@@ -6,6 +6,7 @@ concavity."""
 import numpy as np
 import pytest
 
+from weingarten import curvop
 from weingarten.continuation import (
     MAX_BACKTRACKS,
     NEWTON_MAX_ITER,
@@ -20,14 +21,16 @@ from weingarten.curvop import (
     concavity_check,
     ellipticity_check,
     jacobian,
+    residual,
     residual_field,
 )
 from weingarten.exprlang import EvalEnv
-from weingarten.spheregeom import SphereGrid
+from weingarten.spheregeom import SphereGrid, geometry, local_geometry
 
 ALPHA0 = "(0.6 - 0.05*rho)/rho^2"
 ALPHA1 = "0.25/rho"
 PROFILE = "2.5/rho"
+TILTED_ALPHA0 = "(0.6 - 0.05*rho)*(1 + 0.05*x3/rho)/rho^2"
 
 
 def benchmark_spec(grid=None, **kw):
@@ -147,6 +150,10 @@ def test_residual_rejects_inadmissible_field():
         residual_field(spec, bad, 1.0)
     assert exc.value.node is not None
     assert exc.value.order == 1
+    # the Jacobian refuses the same field, at the same node
+    with pytest.raises(AdmissibilityError) as jac_exc:
+        jacobian(spec, bad, 1.0)
+    assert jac_exc.value.node == exc.value.node
 
 
 @pytest.mark.parametrize(
@@ -222,6 +229,55 @@ def test_jacobian_matvec_against_directional_difference(ntheta, nphi, h):
     fd = (fp - fm) / (2.0 * h)
     got = J.matvec(direction)
     assert np.abs(got - fd).max() < 1e-5
+
+
+def jet_differences(spec, rho, t):
+    """Reference partials dF/dq_m: central differences of the residual in
+    one jet at a time, all nodes at once, step eps^(1/3) * max(s_m, |q_m|)
+    with s_m the jet's natural scale (sin theta per phi derivative)."""
+    grid = spec.grid
+    base = geometry(grid, rho)
+    jets = (base.rho,) + base.jets
+    st = grid.sin_theta[:, None]
+    scales = (1.0, 1.0, st, 1.0, st, st * st)
+    out = []
+    for m, (q, scale) in enumerate(zip(jets, scales)):
+        step = np.finfo(float).eps ** (1.0 / 3.0) * np.maximum(scale, np.abs(q))
+        ends = []
+        for value in (q + step, q - step):
+            trial = jets[:m] + (value,) + jets[m + 1:]
+            ends.append(residual(spec, local_geometry(grid, trial[0], trial[1:]), t))
+        out.append((ends[0] - ends[1]) / (2.0 * step))
+    return out
+
+
+@pytest.mark.parametrize("ntheta, nphi", [(16, 32), (64, 128)], ids=["16x32", "64x128"])
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+def test_jacobian_partials_match_per_jet_differences(ntheta, nphi, t):
+    grid = SphereGrid(ntheta, nphi)
+    spec = ProblemSpec(
+        k=2, n=2, r1=1.0, r2=4.0, alphas=(TILTED_ALPHA0, ALPHA1), phi=PROFILE, grid=grid,
+    )
+    th = grid.theta[:, None]
+    ph = grid.phi[None, :]
+    rho = 2.5 + 0.1 * np.cos(th) + 0.05 * np.sin(th) * np.cos(ph)
+    partials = jacobian(spec, rho, t).partials
+    for m, want in enumerate(jet_differences(spec, rho, t)):
+        assert np.abs(partials[m] - want).max() <= 1e-6 * np.abs(want).max(), m
+
+
+def test_jacobian_evaluates_the_coefficients_a_few_times(monkeypatch):
+    calls = []
+    evaluate = curvop.evaluate
+
+    def counting_evaluate(*args):
+        calls.append(args[-1])
+        return evaluate(*args)
+
+    monkeypatch.setattr(curvop, "evaluate", counting_evaluate)
+    spec = benchmark_spec()
+    jacobian(spec, np.full(spec.grid.shape, 2.5), 0.5)
+    assert 0 < len(calls) <= 9
 
 
 def test_jacobian_phi_shift_commutes_exactly():
