@@ -31,7 +31,8 @@ print("outer-shell margin at r2:   %.6f (closed form 0.00625)" % outer.boundary_
 print("inner-shell margin at r1:   %.6f (closed form 0.05)" % report.entries["shell_inner"].boundary_margin)
 print()
 
-# 2. solve: the homotopy reaches t=1 in a handful of steps
+# 2. solve: after the t=0 solve, Newton takes the whole interval to t=1
+# in one step
 rho, solve = continue_to_one(spec)
 print("  t      newton  |F|        rho_min     rho_max")
 for step in solve.steps:

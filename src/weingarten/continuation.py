@@ -3,9 +3,10 @@
 The solve path is: certify the coefficient data (barrier inequalities at
 the shell radii, monotone weighted coefficients, positivity, deformation
 profile shape), start from the round sphere the profile singles out, and
-walk the homotopy parameter t from 0 to 1 with adaptive steps, each step
-accepted only when a Newton iteration converges while staying in the
-admissible cone.  Every Newton iterate builds its Jacobian and that
+walk the homotopy parameter t from 0 to 1, each step accepted only when a
+Newton iteration converges while staying in the admissible cone.  The
+first step in t tries the whole interval, and the step halves after each
+failed solve.  Every Newton iterate builds its Jacobian and that
 Jacobian's ring-mean FFT preconditioner (`linsolve`, bound here as
 `spla`), and solves by GMRES.
 """
@@ -50,10 +51,7 @@ MARGIN_SLACK = 1e-10
 # after this many halvings.
 NEWTON_MAX_ITER = 50
 MAX_BACKTRACKS = 8
-# Homotopy steps in t: the first, the largest, and the smallest before
-# the walk gives up.
-T_STEP_INITIAL = 0.1
-T_STEP_MAX = 0.25
+# The smallest homotopy step in t before the walk gives up.
 T_STEP_MIN = 1e-4
 
 
@@ -461,14 +459,14 @@ def continue_to_one(spec, callback=None):
 
     Refuses to run when the hypothesis check fails (HypothesisError).  The
     first step solves the t=0 problem from the starting sphere; a failure
-    there aborts with ContinuationFailure at once.  Later steps in t start
-    at T_STEP_INITIAL, halve after a failed step, double after two
-    consecutive accepted steps (capped at T_STEP_MAX), and a step below
-    T_STEP_MIN aborts with ContinuationFailure, whose `reason` is the
-    Newton error or non-convergence of the last failed solve.  Each step
-    is corrected by Newton (`newton_solve`) from the field of the last
-    accepted step.  Returns the final field and a SolveReport with one row
-    per accepted step, the t=0 solve included.
+    there aborts with ContinuationFailure at once.  From t, the next
+    target is t + dt, with dt the whole interval at first, halved after
+    each failed solve and never grown again; a step below T_STEP_MIN
+    aborts with ContinuationFailure, whose `reason` is the Newton error or
+    non-convergence of the last failed solve.  Each step is corrected by
+    Newton (`newton_solve`) from the field of the last accepted step.
+    Returns the final field and a SolveReport with one row per accepted
+    step, the t=0 solve included.
     """
     hypothesis = check_hypotheses(spec)
     if not hypothesis.passed:
@@ -477,8 +475,7 @@ def continue_to_one(spec, callback=None):
     rho = initial_solution(spec)
     steps = []
     t = target = 0.0
-    dt = T_STEP_INITIAL
-    consecutive = 0
+    dt = 1.0
     while t < 1.0:
         begin = time.perf_counter()
         try:
@@ -492,23 +489,17 @@ def continue_to_one(spec, callback=None):
         wall_ms = 1e3 * (time.perf_counter() - begin)
 
         if reason is not None:
-            consecutive = 0
             dt *= 0.5
             if not steps or dt < T_STEP_MIN:
                 raise ContinuationFailure(t, rho, SolveReport(steps, hypothesis), reason)
         else:
-            rho = newton.rho
-            step = _record_step(spec, rho, target, newton, wall_ms)
+            rho, t = newton.rho, target
+            step = _record_step(spec, rho, t, newton, wall_ms)
             steps.append(step)
             if callback is not None:
                 callback(step)
-            if target > t:  # a step in t; the t=0 solve does not count
-                t = target
-                consecutive += 1
-                if consecutive >= 2:
-                    dt = min(2.0 * dt, T_STEP_MAX)
-                    consecutive = 0
-        dt = min(dt, T_STEP_MAX, 1.0 - t)
-        target = 1.0 if (1.0 - t) - dt < 1e-12 else t + dt
+        # dt is a power of two no larger than any accepted step, so t is a
+        # multiple of it and t + dt lands on 1.0 exactly, never beyond
+        target = t + dt
 
     return rho, SolveReport(steps, hypothesis)

@@ -80,10 +80,10 @@ class ProblemSpec:
             raise ValueError("the surface solver works on 2-dimensional graphs (n=2)")
         if not 2 <= self.k <= self.n:
             raise ValueError(f"need 2 <= k <= n, got k={self.k}, n={self.n}")
-        if not 0 < self.r1 < self.r2:
-            raise ValueError("need 0 < r1 < r2")
-        if not self.newton_tol > 0:
-            raise ValueError("newton_tol must be positive")
+        if not 0 < self.r1 < self.r2 < math.inf:
+            raise ValueError("need 0 < r1 < r2 < inf")
+        if not 0 < self.newton_tol < math.inf:
+            raise ValueError("newton_tol must be positive and finite")
         alphas = tuple(
             parse(a) if isinstance(a, str) else a for a in self.alphas
         )

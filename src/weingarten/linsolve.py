@@ -91,13 +91,20 @@ class RingMeanSolver:
         return gmres(self.jac.matvec, self.precondition, b)
 
 
+def _norm(field):
+    return float(np.sqrt((field * field).sum()))
+
+
 def gmres(matvec, precondition, b):
     """Right-preconditioned GMRES from x = 0 for matvec(x) = b: Arnoldi
     with modified Gram-Schmidt on matvec(precondition(.)), the small
     least-squares problem solved afresh each iteration.  Stops at
     |b - matvec(x)| <= GMRES_RTOL |b| or after GMRES_MAXITER iterations
-    and returns x = precondition(V y) and the iterations taken."""
-    beta = float(np.linalg.norm(b))
+    and returns x = precondition(V y) and the iterations taken.  Inner
+    products and norms are numpy's own sums rather than BLAS calls, whose
+    summation order follows the thread count, so x is the same under any
+    BLAS thread setting."""
+    beta = _norm(b)
     if beta == 0.0:
         return np.zeros_like(b), 0
     basis = [b / beta]
@@ -107,12 +114,12 @@ def gmres(matvec, precondition, b):
     for j in range(GMRES_MAXITER):
         w = matvec(precondition(basis[j]))
         for i, v in enumerate(basis):
-            hessenberg[i, j] = np.vdot(v, w)
+            hessenberg[i, j] = (v * w).sum()
             w -= hessenberg[i, j] * v
-        hessenberg[j + 1, j] = np.linalg.norm(w)
+        hessenberg[j + 1, j] = _norm(w)
         h, g = hessenberg[: j + 2, : j + 1], rhs[: j + 2]
         y = np.linalg.lstsq(h, g, rcond=None)[0]
-        if hessenberg[j + 1, j] == 0.0 or np.linalg.norm(h @ y - g) <= GMRES_RTOL * beta:
+        if hessenberg[j + 1, j] == 0.0 or _norm(h @ y - g) <= GMRES_RTOL * beta:
             break
         basis.append(w / hessenberg[j + 1, j])
     combined = np.zeros_like(b)

@@ -131,6 +131,26 @@ def test_huge_k_is_refused_by_its_range(tmp_path, capsys):
     assert capsys.readouterr().err == "error: need 2 <= k <= n, got k=1000000, n=2\n"
 
 
+# values that parse as floats but leave no problem to solve: a tolerance
+# that accepts the starting sphere unsolved, a barrier no band can sample
+NON_FINITE = {
+    "newton_tol": ("[solver]\nnewton_tol = 1e400\n", "newton_tol must be positive and finite"),
+    "r2": ("", "need 0 < r1 < r2 < inf"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("key", sorted(NON_FINITE))
+def test_non_finite_setting_is_bad_input(tmp_path, capsys, command, key):
+    extra, message = NON_FINITE[key]
+    cfg = write_cfg(tmp_path, extra=extra)
+    if key == "r2":
+        cfg.write_text(cfg.read_text().replace("r2 = 4.0", "r2 = inf"))
+    assert cli.main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_example_loads_with_the_defaults(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -2,11 +2,16 @@
 and the homotopy walk to t=1 on the radial benchmark."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weingarten
 from weingarten import continuation
 from weingarten.continuation import (
     ConeExitError,
@@ -258,9 +263,8 @@ def test_continuation_walks_benchmark_to_t1():
     assert ts[0] == 0.0
     assert ts[-1] == 1.0
     assert all(b > a for a, b in zip(ts, ts[1:]))
-    # steps double after two successes in t (the t=0 solve is not one)
-    # and are capped at 0.25
-    assert ts == pytest.approx([0.0, 0.1, 0.2, 0.4, 0.6, 0.85, 1.0], rel=0, abs=1e-12)
+    # the first step in t tries the whole interval, and Newton takes it
+    assert ts == [0.0, 1.0]
     for step in report.steps:
         row = step.report_row()
         assert tuple(row) == REPORT_KEYS
@@ -297,6 +301,25 @@ def test_newton_factorizes_through_the_spla_binding(monkeypatch):
     assert len(calls) == sum(step.newton_iters for step in report.steps) > 0
 
 
+def test_continuation_halves_after_a_failed_solve_and_never_grows(monkeypatch):
+    # a Newton that refuses any step longer than 0.3 in t: the walk tries
+    # the rest of the interval, halves until a step holds, then keeps it
+    attempted, accepted = [], []
+
+    def short_sighted_newton_solve(spec, rho, t):
+        attempted.append(t)
+        if t - (accepted[-1] if accepted else 0.0) > 0.3:
+            raise StagnationError("step too long")
+        accepted.append(t)
+        return newton_solve(spec, rho, t)
+
+    monkeypatch.setattr(continuation, "newton_solve", short_sighted_newton_solve)
+    rho, report = continue_to_one(benchmark_spec(grid=SphereGrid(8, 16)))
+    assert report.reached_t1
+    assert attempted == [0.0, 1.0, 0.5, 0.25, 0.5, 0.75, 1.0]
+    assert accepted == [step.t for step in report.steps] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
 def test_continuation_is_deterministic_apart_from_timing():
     spec = benchmark_spec(grid=SphereGrid(8, 16))
     rho_a, rep_a = continue_to_one(spec)
@@ -309,6 +332,35 @@ def test_continuation_is_deterministic_apart_from_timing():
             if key == "wall_ms":
                 continue
             assert ra[key] == rb[key]
+
+
+def test_solution_bytes_do_not_depend_on_the_blas_thread_count():
+    # BLAS reductions sum in an order set by the thread count; GMRES takes
+    # its inner products from numpy's own sums, so the bytes of a solve
+    # are the same however many threads BLAS may use
+    root = Path(__file__).resolve().parents[1]
+    script = (
+        "import hashlib\n"
+        "from dataclasses import replace\n"
+        "from weingarten import continue_to_one, load_config\n"
+        "from weingarten.spheregeom import SphereGrid\n"
+        f"spec = load_config({str(root / 'configs' / 'nonradial.cfg')!r}).problem\n"
+        "rho, report = continue_to_one(replace(spec, grid=SphereGrid(128, 256)))\n"
+        "assert report.reached_t1\n"
+        "print(hashlib.sha256(rho.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(weingarten.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = threads
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_continuation_invokes_callback_per_step():

@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from weingarten import curvop
-from weingarten.continuation import (
-    MAX_BACKTRACKS,
-    NEWTON_MAX_ITER,
-    T_STEP_INITIAL,
-    T_STEP_MAX,
-    T_STEP_MIN,
-)
+from weingarten.continuation import MAX_BACKTRACKS, NEWTON_MAX_ITER, T_STEP_MIN
 from weingarten.curvop import (
     AdmissibilityError,
     ProblemSpec,
@@ -81,6 +75,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec(k=2, n=2, r1=1.0, r2=4.0, alphas=(ALPHA0,),
                     phi=PROFILE, grid=grid)
+    # the hypothesis lattice cannot sample a band out to an infinite barrier
+    with pytest.raises(ValueError):
+        ProblemSpec(k=2, n=2, r1=1.0, r2=float("inf"), alphas=(ALPHA0, ALPHA1),
+                    phi=PROFILE, grid=grid)
     with pytest.raises(ValueError):
         benchmark_spec(grid=grid, newton_tol=0.0)
 
@@ -88,12 +86,13 @@ def test_spec_validation():
 def test_solver_settings_validation():
     # the Newton tolerance is the one solver setting left; it lives on the spec
     grid = SphereGrid(8, 16)
-    for bad in (0.0, -1e-10, float("nan")):
+    # an infinite tolerance would accept the starting sphere unsolved
+    for bad in (0.0, -1e-10, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             benchmark_spec(grid=grid, newton_tol=bad)
     assert benchmark_spec(grid=grid, newton_tol=1e-9).newton_tol == 1e-9
-    # the step rule and Newton cap are constants now; keep them consistent
-    assert 0 < T_STEP_MIN <= T_STEP_INITIAL <= T_STEP_MAX
+    # the step rule's floor and the Newton caps are constants; keep them sane
+    assert 0 < T_STEP_MIN < 1
     assert NEWTON_MAX_ITER >= 1
     assert MAX_BACKTRACKS >= 0
 
