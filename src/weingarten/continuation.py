@@ -377,6 +377,7 @@ class SolveStep:
             "newton_iters": self.newton_iters,
             "linear_iters": self.linear_iters,
             "residual_inf": self.residual_inf,
+            "newton_residual_norms": list(self.newton_residual_norms),
             "rho_min": self.rho_min,
             "rho_max": self.rho_max,
             "support_min": self.support_min,

@@ -12,14 +12,21 @@ on the pole row's own diagonal.  The systems are factored once per build
 and solved by a batched Thomas sweep: the longitude-FFT, latitude-
 tridiagonal splitting of Swarztrauber (J. Comput. Phys. 15, 1974).  On an
 axisymmetric iterate the ring means are the partials and the
-preconditioner is J^-1; elsewhere GMRES (Saad & Schultz, 1986) makes up
-the difference.
+preconditioner is J^-1; elsewhere GMRES makes up the difference.  GMRES
+keeps the QR factors of its Hessenberg matrix up to date by one Givens
+rotation per iteration, which also gives the residual norm of each
+iterate without a product (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+1986, section 3).  The symbols are summed by `np.einsum` and the small
+triangular system is back-substituted in numpy, so a solve calls no BLAS
+or LAPACK routine.
 
 `splu` and `spsolve` keep the names of the sparse-LU calls they replace,
 which the per-layer tracer of `perfbench/layertrace.py` wraps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -48,8 +55,8 @@ def _stencil_symbols(grid):
     # of the impulse at (ci - di, cj - dj)
     offsets = np.array([-1, 0, 1])
     weights = jets[:, (ci - offsets)[:, None], cj - offsets]
-    modes = np.arange(nphi // 2 + 1)
-    return weights @ np.exp(1j * grid.dphi * np.outer(offsets, modes))
+    phases = np.exp(1j * grid.dphi * np.outer(offsets, np.arange(nphi // 2 + 1)))
+    return np.einsum("mdo,ok->mdk", weights, phases)
 
 
 class RingMeanSolver:
@@ -96,32 +103,62 @@ def _norm(field):
 
 
 def gmres(matvec, precondition, b):
-    """Right-preconditioned GMRES from x = 0 for matvec(x) = b: Arnoldi
-    with modified Gram-Schmidt on matvec(precondition(.)), the small
-    least-squares problem solved afresh each iteration.  Stops at
-    |b - matvec(x)| <= GMRES_RTOL |b| or after GMRES_MAXITER iterations
-    and returns x = precondition(V y) and the iterations taken.  Inner
-    products and norms are numpy's own sums rather than BLAS calls, whose
-    summation order follows the thread count, so x is the same under any
-    BLAS thread setting."""
+    """Right-preconditioned GMRES from x = 0 for matvec(x) = b (Saad &
+    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986, section 3): Arnoldi with
+    modified Gram-Schmidt on matvec(precondition(.)), and the Hessenberg
+    matrix reduced to upper triangular R by one Givens rotation per
+    column as the column arrives.  The same rotations turn |b| e_1 into g,
+    whose last entry |g_{j+1}| is the residual 2-norm of the best x in the
+    Krylov space, so each iteration reads its residual for free.  Stops at
+    |g_{j+1}| <= GMRES_RTOL |b| or after GMRES_MAXITER iterations, solves
+    R y = g by one back-substitution and returns x = precondition(V y) and
+    the iterations taken.
+
+    At breakdown the iteration stops early.  When the new column's part
+    outside the basis is below sqrt(eps) times the column before
+    orthogonalisation, cancellation has taken half its digits, and no
+    basis vector is made from it; a column whose rotated diagonal is that
+    small too depends on the columns before it and is left out of the
+    back-solve.  x then has the residual of the columns kept, at most |b|.
+    Inner products and norms are numpy's own sums rather than BLAS calls,
+    whose summation order follows the thread count, so x is the same under
+    any BLAS thread setting."""
     beta = _norm(b)
     if beta == 0.0:
         return np.zeros_like(b), 0
     basis = [b / beta]
-    hessenberg = np.zeros((GMRES_MAXITER + 1, GMRES_MAXITER))
-    rhs = np.zeros(GMRES_MAXITER + 1)
-    rhs[0] = beta
+    triangle = np.zeros((GMRES_MAXITER, GMRES_MAXITER))
+    cosines, sines = np.zeros(GMRES_MAXITER), np.zeros(GMRES_MAXITER)
+    g = np.zeros(GMRES_MAXITER + 1)
+    g[0] = beta
+    kept = 0
     for j in range(GMRES_MAXITER):
         w = matvec(precondition(basis[j]))
+        rounding = math.sqrt(np.finfo(float).eps) * _norm(w)
+        column = triangle[:, j]
         for i, v in enumerate(basis):
-            hessenberg[i, j] = (v * w).sum()
-            w -= hessenberg[i, j] * v
-        hessenberg[j + 1, j] = _norm(w)
-        h, g = hessenberg[: j + 2, : j + 1], rhs[: j + 2]
-        y = np.linalg.lstsq(h, g, rcond=None)[0]
-        if hessenberg[j + 1, j] == 0.0 or _norm(h @ y - g) <= GMRES_RTOL * beta:
+            column[i] = (v * w).sum()
+            w -= column[i] * v
+        outside = _norm(w)
+        for i in range(j):
+            column[i], column[i + 1] = (
+                cosines[i] * column[i] + sines[i] * column[i + 1],
+                cosines[i] * column[i + 1] - sines[i] * column[i],
+            )
+        diagonal = math.hypot(column[j], outside)
+        if diagonal <= rounding:
             break
-        basis.append(w / hessenberg[j + 1, j])
+        cosines[j], sines[j] = column[j] / diagonal, outside / diagonal
+        column[j] = diagonal
+        g[j], g[j + 1] = cosines[j] * g[j], -sines[j] * g[j]
+        kept = j + 1
+        if abs(g[j + 1]) <= GMRES_RTOL * beta or outside <= rounding:
+            break
+        basis.append(w / outside)
+    y = g[:kept].copy()
+    for i in range(kept - 1, -1, -1):
+        y[i] -= (triangle[i, i + 1 : kept] * y[i + 1 :]).sum()
+        y[i] /= triangle[i, i]
     combined = np.zeros_like(b)
     for coef, v in zip(y, basis):
         combined += coef * v

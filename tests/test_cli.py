@@ -276,6 +276,9 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     report = json.loads((outdir / "solve_report.json").read_text())
     assert report["reached_t1"] is True
     assert report["monitor_warnings"] == []
+    last = report["steps"][-1]
+    assert len(last["newton_residual_norms"]) == last["newton_iters"] + 1
+    assert last["newton_residual_norms"][-1] == last["residual_inf"]
     hyp = json.loads((outdir / "hypothesis_report.json").read_text())
     assert hyp["passed"] is True
     grid, rho = read_solution_csv(outdir / "solution.csv")

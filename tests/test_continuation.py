@@ -40,6 +40,7 @@ REPORT_KEYS = (
     "newton_iters",
     "linear_iters",
     "residual_inf",
+    "newton_residual_norms",
     "rho_min",
     "rho_max",
     "support_min",
@@ -424,6 +425,11 @@ def test_solve_report_serializes():
     assert data["monitor_warnings"] == []
     assert len(data["steps"]) == len(report.steps)
     assert set(data["steps"][0]) == set(REPORT_KEYS)
+    for row, step in zip(data["steps"], report.steps):
+        # the max-norm of F before the first and after each Newton step
+        norms = row["newton_residual_norms"]
+        assert len(norms) == step.newton_iters + 1
+        assert norms[-1] == row["residual_inf"]
     assert report.hypothesis.as_dict()["passed"] is True
 
 

@@ -1,13 +1,16 @@
 """Newton's linear solves: the ring-mean FFT preconditioner against dense
-solves of the same operator, its exactness on axisymmetric iterates, and
-GMRES on a tilted Jacobian."""
+solves of the same operator, its exactness on axisymmetric iterates,
+GMRES on a tilted Jacobian against a least-squares GMRES, GMRES at
+breakdown, and a Newton path that needs no LAPACK."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from weingarten import linsolve
+from weingarten.continuation import continue_to_one
 from weingarten.curvop import ProblemSpec, jacobian
 from weingarten.spheregeom import SphereGrid
 
@@ -75,3 +78,90 @@ def test_gmres_meets_its_forcing_on_a_tilted_jacobian():
     residual = np.linalg.norm(jac.matvec(x) - b)
     assert residual <= linsolve.GMRES_RTOL * np.linalg.norm(b) * (1 + 1e-9)
     assert np.array_equal(linsolve.spsolve(jac, b), x)
+
+
+def lstsq_gmres(matvec, precondition, b):
+    """The earlier `linsolve.gmres`: the Hessenberg least-squares problem
+    solved afresh by LAPACK at every iteration, the residual taken from it."""
+    beta = np.sqrt((b * b).sum())
+    basis = [b / beta]
+    hessenberg = np.zeros((linsolve.GMRES_MAXITER + 1, linsolve.GMRES_MAXITER))
+    rhs = np.zeros(linsolve.GMRES_MAXITER + 1)
+    rhs[0] = beta
+    for j in range(linsolve.GMRES_MAXITER):
+        w = matvec(precondition(basis[j]))
+        for i, v in enumerate(basis):
+            hessenberg[i, j] = (v * w).sum()
+            w -= hessenberg[i, j] * v
+        hessenberg[j + 1, j] = np.sqrt((w * w).sum())
+        h, g = hessenberg[: j + 2, : j + 1], rhs[: j + 2]
+        y = np.linalg.lstsq(h, g, rcond=None)[0]
+        if hessenberg[j + 1, j] == 0.0 or np.linalg.norm(h @ y - g) <= linsolve.GMRES_RTOL * beta:
+            break
+        basis.append(w / hessenberg[j + 1, j])
+    return precondition(sum(coef * v for coef, v in zip(y, basis))), j + 1
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_givens_gmres_matches_a_least_squares_gmres(seed):
+    grid = SphereGrid(32, 64)
+    jac = jacobian(spec_on(grid, TILTED_ALPHA0), tilted_field(grid), 1.0)
+    solver = linsolve.splu(jac)
+    b = np.random.default_rng(seed).normal(size=grid.shape)
+    x, iterations = linsolve.gmres(jac.matvec, solver.precondition, b)
+    want, want_iterations = lstsq_gmres(jac.matvec, solver.precondition, b)
+    assert iterations == want_iterations
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def rank_one(shape):
+    rng = np.random.default_rng(7)
+    u, v = rng.normal(size=shape), rng.normal(size=shape)
+    return lambda x: u * (v * x).sum()
+
+
+def with_null_space(shape):
+    diagonal = np.random.default_rng(8).normal(size=shape)
+    diagonal[:, ::2] = 0.0
+    return lambda x: diagonal * x
+
+
+@pytest.mark.parametrize(
+    "make_operator",
+    [lambda shape: np.zeros_like, lambda shape: np.copy, rank_one, with_null_space],
+    ids=["zero", "identity", "rank-one", "null-space"],
+)
+def test_gmres_stops_at_breakdown_without_growing_the_residual(make_operator):
+    # a singular operator leaves nothing, or only rounding, outside the
+    # Krylov basis: GMRES must stop there rather than divide by it
+    shape = (8, 16)
+    matvec = make_operator(shape)
+    b = np.random.default_rng(9).normal(size=shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, iterations = linsolve.gmres(matvec, lambda v: v, b)
+    assert np.isfinite(x).all()
+    assert np.linalg.norm(b - matvec(x)) <= np.linalg.norm(b)
+
+
+def test_zero_and_identity_operators_take_one_iteration():
+    b = np.random.default_rng(10).normal(size=(8, 16))
+    x, iterations = linsolve.gmres(np.zeros_like, lambda v: v, b)
+    assert iterations == 1 and not x.any()
+    x, iterations = linsolve.gmres(np.copy, lambda v: v, b)
+    assert iterations == 1
+    assert np.linalg.norm(x - b) <= 1e-15 * np.linalg.norm(b)
+
+
+def test_newton_path_calls_no_lapack(monkeypatch):
+    # a solve is numpy arithmetic, FFTs and numpy's own sums: with the
+    # dense LAPACK drivers gone it still walks a tilted problem to t=1
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on the Newton path")
+
+    for name in ("lstsq", "solve", "qr", "svd"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    spec = spec_on(SphereGrid(16, 32), TILTED_ALPHA0)
+    rho, report = continue_to_one(spec)
+    assert report.reached_t1
+    assert report.steps[-1].residual_inf <= spec.newton_tol
