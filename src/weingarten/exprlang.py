@@ -6,10 +6,17 @@ right-associative, then unary minus, then * /, then + -), and the
 functions exp, log, sqrt, sin, cos, abs, min, max.  Evaluation is plain
 IEEE double arithmetic and works elementwise on numpy arrays, so a whole
 grid of sample points is one evaluation.
+
+The operations are two tables, `OPERATORS` and `FUNCTIONS`, of
+(operation, domain guard) rows that the parser and `evaluate` both read.
+Each evaluation runs under one numpy floating-point context that warns of
+nothing; every operator and function node is checked instead, so an
+overflow or a domain fault is an `ExprEvalError` at the node's offset.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -31,15 +38,25 @@ __all__ = [
 ]
 
 VARIABLES = ("rho", "x1", "x2", "x3", "u")
+#: name -> (numpy ufunc, domain guard or None); the arity is the ufunc's
+#: `nin`, and a guard is (message, predicate true at a fault of the arguments)
 FUNCTIONS = {
-    "exp": 1,
-    "log": 1,
-    "sqrt": 1,
-    "sin": 1,
-    "cos": 1,
-    "abs": 1,
-    "min": 2,
-    "max": 2,
+    "exp": (np.exp, None),
+    "log": (np.log, ("log of a non-positive value", lambda x: x <= 0.0)),
+    "sqrt": (np.sqrt, ("sqrt of a negative value", lambda x: x < 0.0)),
+    "sin": (np.sin, None),
+    "cos": (np.cos, None),
+    "abs": (np.abs, None),
+    "min": (np.minimum, None),
+    "max": (np.maximum, None),
+}
+#: symbol -> (operation, domain guard or None), read like FUNCTIONS
+OPERATORS = {
+    "+": (operator.add, None),
+    "-": (operator.sub, None),
+    "*": (operator.mul, None),
+    "/": (operator.truediv, ("division by zero", lambda left, right: right == 0.0)),
+    "^": (np.power, None),
 }
 
 #: relative tolerance for the coordinate/radius consistency check
@@ -237,11 +254,10 @@ class _Parser:
                 closing = self.take()
                 if closing[1] != ")":
                     self.fail("expected ')'", closing)
-                if len(args) != FUNCTIONS[value]:
+                arity = FUNCTIONS[value][0].nin
+                if len(args) != arity:
                     raise ExprSyntaxError(
-                        f"function {value!r} expects "
-                        f"{FUNCTIONS[value]} argument(s), got {len(args)}",
-                        pos,
+                        f"function {value!r} expects {arity} argument(s), got {len(args)}", pos
                     )
                 return Call(value, tuple(args), pos=pos)
             if value not in VARIABLES:
@@ -264,65 +280,38 @@ def parse(text):
     return _Parser(text).parse()
 
 
-def _check_finite(value, pos, key):
-    if not np.all(np.isfinite(value)):
-        raise ExprEvalError("non-finite value", pos, key)
-    return value
-
-
 def evaluate(node, env, key=None):
-    """Evaluate an AST at an EvalEnv.  Works elementwise on array
-    environments; raises ExprEvalError on division by zero, domain faults
-    and non-finite results, carrying the offending node's offset and
-    `key`, the name of the expression evaluated."""
+    """Evaluate an AST at an EvalEnv, elementwise on array environments,
+    under one numpy context that ignores floating-point faults.  Each
+    operator and function node is checked instead: its row's guard
+    (division by zero, log or sqrt outside its domain) and a non-finite
+    value raise ExprEvalError with the node's offset and `key`, the name
+    of the expression evaluated."""
+    with np.errstate(all="ignore"):
+        return _walk(node, env, key)
+
+
+def _walk(node, env, key):
     if isinstance(node, Const):
         return node.value
     if isinstance(node, Var):
         return getattr(env, node.name)
     if isinstance(node, Unary):
-        return -evaluate(node.operand, env, key)
+        return -_walk(node.operand, env, key)
     if isinstance(node, Binary):
-        left = evaluate(node.left, env, key)
-        right = evaluate(node.right, env, key)
-        if node.op == "+":
-            out = left + right
-        elif node.op == "-":
-            out = left - right
-        elif node.op == "*":
-            out = left * right
-        elif node.op == "/":
-            if np.any(np.asarray(right) == 0.0):
-                raise ExprEvalError("division by zero", node.pos, key)
-            out = left / right
-        else:  # "^"
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                out = np.power(left, right)
-        return _check_finite(out, node.pos, key)
-    if isinstance(node, Call):
-        args = [evaluate(a, env, key) for a in node.args]
-        if node.func == "log":
-            if np.any(np.asarray(args[0]) <= 0.0):
-                raise ExprEvalError("log of a non-positive value", node.pos, key)
-            out = np.log(args[0])
-        elif node.func == "sqrt":
-            if np.any(np.asarray(args[0]) < 0.0):
-                raise ExprEvalError("sqrt of a negative value", node.pos, key)
-            out = np.sqrt(args[0])
-        elif node.func == "exp":
-            with np.errstate(over="ignore"):
-                out = np.exp(args[0])
-        elif node.func == "sin":
-            out = np.sin(args[0])
-        elif node.func == "cos":
-            out = np.cos(args[0])
-        elif node.func == "abs":
-            out = np.abs(args[0])
-        elif node.func == "min":
-            out = np.minimum(args[0], args[1])
-        else:  # "max"
-            out = np.maximum(args[0], args[1])
-        return _check_finite(out, node.pos, key)
-    raise TypeError(f"not an expression node: {node!r}")
+        apply, guard = OPERATORS[node.op]
+        args = (_walk(node.left, env, key), _walk(node.right, env, key))
+    elif isinstance(node, Call):
+        apply, guard = FUNCTIONS[node.func]
+        args = [_walk(a, env, key) for a in node.args]
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    if guard is not None and np.any(guard[1](*args)):
+        raise ExprEvalError(guard[0], node.pos, key)
+    out = apply(*args)
+    if not np.isfinite(out).all():
+        raise ExprEvalError("non-finite value", node.pos, key)
+    return out
 
 
 def radial_derivative(node, env, h=1e-6, key=None):

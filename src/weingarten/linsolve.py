@@ -99,7 +99,16 @@ class RingMeanSolver:
 
 
 def _norm(field):
-    return float(np.sqrt((field * field).sum()))
+    """2-norm of a field, rescaled by max |field| only when the plain sum of
+    squares overflows or falls below the normal range, so that a norm in
+    range is the plain sum's to the bit."""
+    with np.errstate(over="ignore"):
+        total = float((field * field).sum())
+    if np.finfo(float).tiny <= total < math.inf:
+        return math.sqrt(total)
+    scale = float(np.abs(field).max())
+    # field / scale has max |entry| 1, so its sum of squares is in range
+    return scale * _norm(field / scale) if 0.0 < scale < math.inf else scale
 
 
 def gmres(matvec, precondition, b):

@@ -443,6 +443,26 @@ def test_solve_verify_export_never_read_kappa(tmp_path, capsys, monkeypatch):
     assert cli.main(["export", str(solution), str(cfg), "--format", "obj"]) == 0
 
 
+def run_program(cwd, *argv):
+    """The Python interpreter in a fresh process, with this package on its
+    path, so that what it prints to stderr is seen as a user sees it."""
+    env = dict(os.environ)
+    src = str(Path(weingarten.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True
+    )
+
+
+def test_overflowing_coefficient_is_one_error_line(tmp_path):
+    # no numpy warning reaches the user ahead of the error line
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace('"0.25/rho"', '"rho*1e308*10"'))
+    done = run_program(tmp_path, "-m", "weingarten.cli", "check", str(cfg))
+    assert done.returncode == 2
+    assert done.stderr == "error: non-finite value in alpha1 (byte offset 3)\n"
+
+
 def test_check_verify_export_never_import_scipy(tmp_path):
     # the program runs on numpy alone: no command, solve included, pays
     # for scipy's import
@@ -463,13 +483,8 @@ def test_check_verify_export_never_import_scipy(tmp_path):
         f"codes = [cli.main(argv) for argv in {runs!r}]\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n"
     )
-    env = dict(os.environ)
-    src = str(Path(weingarten.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env,
-        capture_output=True, text=True, check=True,
-    )
+    done = run_program(tmp_path, "-c", script)
+    assert done.returncode == 0, done.stderr
     codes, scipy_modules = json.loads(done.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0, 0]
     assert scipy_modules == []

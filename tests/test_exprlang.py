@@ -1,10 +1,15 @@
-"""Coefficient expression language: parsing, evaluation, error
-reporting with byte offsets, and the evaluation environment."""
+"""Coefficient expression language: parsing, evaluation, every row of
+the operator and function tables, error reporting with byte offsets, and
+the evaluation environment."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from weingarten.exprlang import (
+    FUNCTIONS,
+    OPERATORS,
     Binary,
     Call,
     Const,
@@ -18,6 +23,8 @@ from weingarten.exprlang import (
     parse,
     radial_derivative,
 )
+
+ROWS = {**OPERATORS, **FUNCTIONS}
 
 
 def env_at(rho, x3=None):
@@ -89,9 +96,6 @@ def test_syntax_errors_carry_byte_offsets():
     with pytest.raises(ExprSyntaxError) as exc:
         parse("2 +* 3")
     assert exc.value.offset == 3
-    with pytest.raises(ExprSyntaxError) as exc:
-        parse("min(rho)")
-    assert exc.value.offset == 0
     with pytest.raises(ExprSyntaxError):
         parse("")
     with pytest.raises(ExprSyntaxError):
@@ -107,17 +111,56 @@ def test_name_errors():
 
 
 def test_eval_errors():
-    env = env_at(2.0)
-    with pytest.raises(ExprEvalError) as exc:
-        evaluate(parse("1/(rho - rho)"), env)
-    assert exc.value.offset == 1
-    with pytest.raises(ExprEvalError):
-        evaluate(parse("log(0 - 1)"), env)
-    with pytest.raises(ExprEvalError):
-        evaluate(parse("sqrt(0 - 4)"), env)
-    # overflow is reported, not returned as inf
-    with pytest.raises(ExprEvalError):
-        evaluate(parse("exp(1000)"), env)
+    # overflow is reported at the node that overflowed, not returned as
+    # inf, and numpy warns of nothing
+    env = env_at(np.array([1.0, 2.0, 4.0]))
+    for text, offset in [("exp(1000)", 0), ("rho*1e308*10", 3), ("1e300/(rho*1e-300)", 5)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExprEvalError) as exc:
+                evaluate(parse(text), env, "alpha1")
+        assert str(exc.value) == f"non-finite value in alpha1 (byte offset {offset})"
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_each_function_takes_its_ufunc_arity(name):
+    arity = FUNCTIONS[name][0].nin
+    args = ", ".join(["rho"] * arity)
+    assert parse(f"1 + {name}({args})") == Binary("+", Const(1.0), Call(name, (Var("rho"),) * arity))
+    wrong = [arity + 1] + ([arity - 1] if arity > 1 else [])
+    for count in wrong:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(f"1 + {name}({', '.join(['rho'] * count)})")
+        assert str(exc.value) == (
+            f"function {name!r} expects {arity} argument(s), got {count} (byte offset 4)"
+        )
+
+
+@pytest.mark.parametrize("symbol", sorted(OPERATORS))
+def test_each_operator_parses_and_applies_its_row(symbol):
+    node = parse(f"rho {symbol} 3")
+    assert node == Binary(symbol, Var("rho"), Const(3.0))
+    rho = np.array([1.0, 2.0, 4.0])
+    assert np.array_equal(evaluate(node, env_at(rho)), OPERATORS[symbol][0](rho, 3.0))
+
+
+# for each guarded row, a text whose node of that row fails the guard, and
+# that node's byte offset
+GUARD_FAULTS = {
+    "/": ("1/(rho - rho)", 1),
+    "log": ("1 + log(0 - 1)", 4),
+    "sqrt": ("1 + sqrt(0 - 4)", 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(name for name, row in ROWS.items() if row[1]))
+def test_each_guard_raises_its_message_at_the_node(name):
+    text, offset = GUARD_FAULTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExprEvalError) as exc:
+            evaluate(parse(text), env_at(np.array([1.0, 2.0, 4.0])), "phi")
+    assert str(exc.value) == f"{ROWS[name][1][0]} in phi (byte offset {offset})"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,8 @@
 """Newton's linear solves: the ring-mean FFT preconditioner against dense
 solves of the same operator, its exactness on axisymmetric iterates,
 GMRES on a tilted Jacobian against a least-squares GMRES, GMRES at
-breakdown, and a Newton path that needs no LAPACK."""
+breakdown and on right-hand sides whose squares overflow or underflow,
+and a Newton path that needs no LAPACK."""
 
 import warnings
 from dataclasses import replace
@@ -151,6 +152,17 @@ def test_zero_and_identity_operators_take_one_iteration():
     x, iterations = linsolve.gmres(np.copy, lambda v: v, b)
     assert iterations == 1
     assert np.linalg.norm(x - b) <= 1e-15 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e-170, 1e-300])
+def test_gmres_solves_right_hand_sides_whose_squares_leave_the_range(scale):
+    # the sum of squares of b overflows or underflows; its norm does not
+    b = scale * np.random.default_rng(11).normal(size=(8, 16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, iterations = linsolve.gmres(lambda v: 2.0 * v, lambda v: v, b)
+    assert iterations == 1
+    assert np.abs(x - b / 2).max() <= 1e-15 * np.abs(b / 2).max()
 
 
 def test_newton_path_calls_no_lapack(monkeypatch):
