@@ -16,7 +16,7 @@ import numpy as np
 from weingarten import ProblemSpec, SphereGrid, check_hypotheses, continue_to_one
 
 spec = ProblemSpec(
-    k=2, n=2, r1=1.0, r2=4.0,
+    r1=1.0, r2=4.0,
     alphas=("(0.6 - 0.05*rho)/rho^2", "0.25/rho"),
     phi="2.5/rho",
     grid=SphereGrid(32, 64),

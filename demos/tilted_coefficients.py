@@ -23,7 +23,7 @@ from weingarten import (
 )
 
 spec = ProblemSpec(
-    k=2, n=2, r1=1.0, r2=4.0,
+    r1=1.0, r2=4.0,
     alphas=("(0.6 - 0.05*rho)*(1 + 0.05*x3/rho)/rho^2", "0.25/rho"),
     phi="2.5/rho",
     grid=SphereGrid(32, 64),

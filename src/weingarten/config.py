@@ -21,9 +21,9 @@ class ConfigError(ValueError):
     """Unusable configuration file."""
 
 
-#: the keys each section may hold; [problem] also holds alpha0..alpha{k-1}
+#: the keys each section may hold
 KEYS = {
-    "problem": {"k", "n", "r1", "r2", "phi"},
+    "problem": {"k", "n", "r1", "r2", "alpha0", "alpha1", "phi"},
     "grid": {"ntheta", "nphi"},
     "solver": {"newton_tol"},
     "output": {"directory"},
@@ -81,41 +81,32 @@ def load_config(path):
     solver_sec = parser["solver"]
     output = parser["output"]
 
-    k = _get(problem, "k", int, default=2)
     # a name the run would not read is most likely misspelled
     if parser.defaults():
         raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
     for name in parser.sections():
         if name not in KEYS:
             raise ConfigError(f"unknown section [{name}] in {path}")
-        # alpha0..alpha{k-1}; k is not range-checked yet, so the list stops
-        # at the key count of [problem], which any complete list fits in
-        known = KEYS[name] | {f"alpha{l}" for l in range(min(k, len(problem))) if name == "problem"}
         for key in parser[name]:
-            if key not in known:
+            if key not in KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in [{name}]")
 
-    n = _get(problem, "n", int, default=2)
-    if not 2 <= k <= n:
-        raise ConfigError(f"need 2 <= k <= n, got k={k}, n={n}")
+    # the solver treats sigma_2/sigma_1 on surfaces only; a file may say so
+    for key in ("k", "n"):
+        value = _get(problem, key, int, default=2)
+        if value != 2:
+            raise ConfigError(f"need {key} = 2 (sigma_2/sigma_1 on surfaces), got {key}={value}")
     r1 = _get(problem, "r1", float)
     r2 = _get(problem, "r2", float)
 
-    alphas = []
-    for l in range(k):
-        key = f"alpha{l}"
+    exprs = {}
+    for key in ("alpha0", "alpha1", "phi"):
         if key not in problem:
-            raise ConfigError(f"missing key {key!r} in [problem] (need alpha0..alpha{k-1})")
+            raise ConfigError(f"missing key {key!r} in [problem]")
         try:
-            alphas.append(parse(_unquote(problem[key])))
+            exprs[key] = parse(_unquote(problem[key]))
         except ExprSyntaxError as err:
             raise ConfigError(f"bad expression for {key!r}: {err}") from err
-    if "phi" not in problem:
-        raise ConfigError("missing key 'phi' in [problem]")
-    try:
-        phi = parse(_unquote(problem["phi"]))
-    except ExprSyntaxError as err:
-        raise ConfigError(f"bad expression for 'phi': {err}") from err
 
     try:
         grid = SphereGrid(
@@ -131,7 +122,8 @@ def load_config(path):
         tol["newton_tol"] = _get(solver_sec, "newton_tol", float)
     try:
         spec = ProblemSpec(
-            k=k, n=n, r1=r1, r2=r2, alphas=tuple(alphas), phi=phi, grid=grid, **tol
+            r1=r1, r2=r2, alphas=(exprs["alpha0"], exprs["alpha1"]), phi=exprs["phi"],
+            grid=grid, **tol,
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err

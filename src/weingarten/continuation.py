@@ -172,7 +172,7 @@ def _band_env(radii, directions):
 def _worst(margins, radii, dirs):
     """Minimum of a margin field sampled radius-major on radii x dirs, and
     where it sits: the radius, u = cos(theta), and the polar and azimuthal
-    angles theta, phi of the lattice direction.  A stacked (k, N) field,
+    angles theta, phi of the lattice direction.  A stacked (2, N) field,
     one row per coefficient alpha_l, also names l; ties go to the lowest
     l, then the first sample."""
     idx = int(np.argmin(margins))
@@ -193,20 +193,18 @@ def _worst(margins, radii, dirs):
 def check_hypotheses(spec):
     """Certify the coefficient data of a problem on SAMPLES radii per shell.
 
-    Checks, each on a radius band times a direction lattice:
-      shell_outer: sigma_k(e)/rho^k >= sum_l alpha_l sigma_l(e)/rho^l
-                   on [r2, 2 r2]
+    Checks, each on a radius band times a direction lattice, with
+    sigma_0(e), sigma_1(e), sigma_2(e) = 1, 2, 1 on the unit sphere:
+      shell_outer: 1/rho^2 >= alpha_0 + 2 alpha_1/rho on [r2, 2 r2]
       shell_inner: the reversed inequality on [r1/2, r1]
-      weighted_monotone: d/d rho (rho^(k-l) alpha_l) <= 0 on [r1, r2]
+      weighted_monotone: d/d rho (rho^(2-l) alpha_l) <= 0 on [r1, r2]
       alpha_positive: alpha_l > 0 on [r1, r2]
       profile_positive / _above_one_inside / _below_one_outside /
       _decreasing: the shape conditions on the deformation profile.
     """
-    k, n = spec.k, spec.n
     r1, r2 = spec.r1, spec.r2
     dirs = _direction_lattice()
     ndir = dirs[0].size
-    sig_e = [math.comb(n, j) for j in range(n + 1)]
 
     outer = np.linspace(r2, 2.0 * r2, SAMPLES)
     inner = np.linspace(0.5 * r1, r1, SAMPLES)
@@ -221,10 +219,8 @@ def check_hypotheses(spec):
         return np.broadcast_to(np.asarray(values, dtype=float), env.rho.shape)
 
     def shell_gap(env):
-        gap = sig_e[k] / env.rho**k
-        for l, alpha in enumerate(spec.alphas):
-            gap = gap - evaluate(alpha, env, f"alpha{l}") * sig_e[l] / env.rho**l
-        return gap
+        gap = 1.0 / env.rho**2 - evaluate(spec.alphas[0], env, "alpha0")
+        return gap - evaluate(spec.alphas[1], env, "alpha1") * 2.0 / env.rho
 
     def profile(env):
         return sampled(evaluate(spec.phi, env, "phi"), env)
@@ -232,12 +228,12 @@ def check_hypotheses(spec):
     gap_outer = shell_gap(env_outer)
     gap_inner = -shell_gap(env_inner)
     fd_step = min(1e-5, 0.25 * r1)
+    weights = (Binary("^", Var("rho"), Const(2.0)), Var("rho"))
     slopes = np.stack([
         sampled(radial_derivative(
-            Binary("*", Binary("^", Var("rho"), Const(float(k - l))), alpha),
-            env_shell, h=fd_step, key=f"alpha{l}",
+            Binary("*", weight, alpha), env_shell, h=fd_step, key=f"alpha{l}",
         ), env_shell)
-        for l, alpha in enumerate(spec.alphas)
+        for l, (weight, alpha) in enumerate(zip(weights, spec.alphas))
     ])
     alpha_shell = np.stack([
         sampled(evaluate(alpha, env_shell, f"alpha{l}"), env_shell)

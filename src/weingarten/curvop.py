@@ -1,22 +1,23 @@
 """Curvature-quotient operator, its homotopy blend and its linearization.
 
-The equation solved is, per node of a radial graph,
+The equation solved is sigma_2/sigma_1 on a surface: per node of a radial
+graph,
 
-    sigma_k(kappa) / sigma_{k-1}(kappa)
-        = sum_{l=0}^{k-2} t * alpha_l(X) * sigma_l(kappa) / sigma_{k-1}(kappa)
-          + alpha_{k-1}(X, t)
+    sigma_2(kappa) / sigma_1(kappa)
+        = t * alpha_0(X) / sigma_1(kappa) + alpha_1(X, t)
 
 with the top coefficient deformed toward a round-sphere problem,
 
-    alpha_{k-1}(X, t) = t * alpha_{k-1}(X)
-        + (1 - t) * phi(|X|) * (sigma_k(e)/sigma_{k-1}(e)) / |X|.
+    alpha_1(X, t) = t * alpha_1(X) + (1 - t) * phi(|X|) * (1/2) / |X|,
 
+where 1/2 = sigma_2(e)/sigma_1(e) is the quotient on the unit sphere.
 The residual is the left side minus the right side.  It reads the nodal
 radii only through the value and the five derivative jets of rho at each
 node, so its Jacobian is the chain rule: per-node partials with respect to
 each jet, times the grid's fixed derivative stencils.  It is kept
 matrix-free, as those partials, and applied to a field through the same
-stencils that build the jets.
+stencils that build the jets.  The ellipticity and concavity checks are
+general in k and n.
 """
 
 from __future__ import annotations
@@ -49,25 +50,22 @@ CONCAVITY_SLACK = 1e-10
 
 
 class AdmissibilityError(ArithmeticError):
-    """Curvature vector left the cone Gamma_{k-1} at some node."""
+    """Curvature vector left the cone Gamma_1 at some node."""
 
-    def __init__(self, node, order):
+    def __init__(self, node):
         super().__init__(
-            f"sigma_{order}(kappa) <= 0 at node {node}: iterate left the admissible cone"
+            f"sigma_1(kappa) <= 0 at node {node}: iterate left the admissible cone"
         )
         self.node = node
-        self.order = order
 
 
 @dataclass
 class ProblemSpec:
-    """One prescription problem: cone order, barrier radii, coefficient
-    expressions alpha_0..alpha_{k-1}, deformation profile phi, grid and
-    the residual max-norm at which Newton stops.  Expressions may be given
-    as text or parsed ASTs."""
+    """One prescription problem: barrier radii, coefficient expressions
+    alpha_0 and alpha_1, deformation profile phi, grid and the residual
+    max-norm at which Newton stops.  Expressions may be given as text or
+    parsed ASTs."""
 
-    k: int
-    n: int
     r1: float
     r2: float
     alphas: tuple
@@ -76,10 +74,6 @@ class ProblemSpec:
     newton_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.n != 2:
-            raise ValueError("the surface solver works on 2-dimensional graphs (n=2)")
-        if not 2 <= self.k <= self.n:
-            raise ValueError(f"need 2 <= k <= n, got k={self.k}, n={self.n}")
         if not 0 < self.r1 < self.r2 < math.inf:
             raise ValueError("need 0 < r1 < r2 < inf")
         if not 0 < self.newton_tol < math.inf:
@@ -87,23 +81,19 @@ class ProblemSpec:
         alphas = tuple(
             parse(a) if isinstance(a, str) else a for a in self.alphas
         )
-        if len(alphas) != self.k:
-            raise ValueError(f"need k={self.k} coefficient expressions, got {len(alphas)}")
+        if len(alphas) != 2:
+            raise ValueError(f"need 2 coefficient expressions, got {len(alphas)}")
         object.__setattr__(self, "alphas", alphas)
         if isinstance(self.phi, str):
             object.__setattr__(self, "phi", parse(self.phi))
 
-    @property
-    def round_ratio(self):
-        """sigma_k(e)/sigma_{k-1}(e) for the all-ones vector of length n."""
-        return math.comb(self.n, self.k) / math.comb(self.n, self.k - 1)
-
 
 def alpha_blend(spec, env, t):
-    """Deformed top coefficient alpha_{k-1}(X, t); affine in t, equal to
-    alpha_{k-1}(X) at t=1 and to the round-sphere coefficient at t=0."""
-    target = evaluate(spec.alphas[spec.k - 1], env, f"alpha{spec.k - 1}")
-    source = evaluate(spec.phi, env, "phi") * spec.round_ratio / env.rho
+    """Deformed top coefficient alpha_1(X, t); affine in t, equal to
+    alpha_1(X) at t=1 and to the round-sphere coefficient phi(|X|) (1/2) / |X|
+    at t=0."""
+    target = evaluate(spec.alphas[1], env, "alpha1")
+    source = evaluate(spec.phi, env, "phi") * 0.5 / env.rho
     return t * target + (1.0 - t) * source
 
 
@@ -113,7 +103,7 @@ def _admissible_sigma1(geom):
     sigma1 = geom.sigma1
     if np.any(sigma1 <= 0.0):
         bad = tuple(np.argwhere(sigma1 <= 0.0)[0].tolist())
-        raise AdmissibilityError(bad, 1)
+        raise AdmissibilityError(bad)
     return sigma1
 
 
@@ -124,8 +114,7 @@ def _coefficients(spec, env, t):
 
 
 def residual(spec, geom, t):
-    """Per-node residual of the deformed equation at homotopy time t, for
-    k = n = 2 (the only case ProblemSpec accepts):
+    """Per-node residual of the deformed equation at homotopy time t:
 
         sigma_2 / sigma_1 - t * alpha_0 / sigma_1 - alpha_1(X, t).
 

@@ -1,9 +1,10 @@
 """Small expression language for radially varying coefficient functions.
 
 Expressions are built from the variables rho, x1, x2, x3 and u = x3/rho,
-float literals, the operators + - * / ^ (with ^ binding tightest and
-right-associative, then unary minus, then * /, then + -), and the
-functions exp, log, sqrt, sin, cos, abs, min, max.  Evaluation is plain
+float literals (one too large for a double is a syntax error), the
+operators + - * / ^ (with ^ binding tightest and right-associative, then
+unary minus, then * /, then + -), and the functions exp, log, sqrt, sin,
+cos, abs, min, max.  Evaluation is plain
 IEEE double arithmetic and works elementwise on numpy arrays, so a whole
 grid of sample points is one evaluation.
 
@@ -56,7 +57,12 @@ OPERATORS = {
     "-": (operator.sub, None),
     "*": (operator.mul, None),
     "/": (operator.truediv, ("division by zero", lambda left, right: right == 0.0)),
-    "^": (np.power, None),
+    "^": (np.power, (
+        "power of zero to a negative or of a negative to a non-integer exponent",
+        lambda base, power: (
+            (base == 0.0) & (power < 0.0) | (base < 0.0) & (power != np.floor(power))
+        ),
+    )),
 }
 
 #: relative tolerance for the coordinate/radius consistency check
@@ -241,6 +247,8 @@ class _Parser:
         tok = self.take()
         kind, value, pos = tok
         if kind == "num":
+            if np.isinf(float(value)):
+                raise ExprSyntaxError(f"number {value!r} is too large for a double", pos)
             return Const(float(value), pos=pos)
         if kind == "name":
             if self.peek()[1] == "(":
@@ -274,7 +282,8 @@ class _Parser:
 
 def parse(text):
     """Parse expression text into an AST.  Raises ExprSyntaxError (with a
-    byte offset) on malformed input or unknown identifiers."""
+    byte offset) on malformed input, a literal too large for a double, or
+    unknown identifiers."""
     if not isinstance(text, str) or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(text).parse()
@@ -284,9 +293,9 @@ def evaluate(node, env, key=None):
     """Evaluate an AST at an EvalEnv, elementwise on array environments,
     under one numpy context that ignores floating-point faults.  Each
     operator and function node is checked instead: its row's guard
-    (division by zero, log or sqrt outside its domain) and a non-finite
-    value raise ExprEvalError with the node's offset and `key`, the name
-    of the expression evaluated."""
+    (division by zero, a power, log or sqrt outside its domain) and a
+    non-finite value raise ExprEvalError with the node's offset and `key`,
+    the name of the expression evaluated."""
     with np.errstate(all="ignore"):
         return _walk(node, env, key)
 

@@ -36,7 +36,7 @@ PROFILE = "2.5/rho"
 
 def benchmark_spec(grid, alpha0=ALPHA0):
     return ProblemSpec(
-        k=2, n=2, r1=1.0, r2=4.0, alphas=(alpha0, ALPHA1), phi=PROFILE,
+        r1=1.0, r2=4.0, alphas=(alpha0, ALPHA1), phi=PROFILE,
         grid=grid,
     )
 

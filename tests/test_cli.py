@@ -47,7 +47,6 @@ def write_cfg(tmp_path, name="run.cfg", ntheta=8, nphi=16, outdir="out",
 def test_load_config_benchmark(tmp_path):
     cfg = load_config(write_cfg(tmp_path))
     spec = cfg.problem
-    assert spec.k == 2 and spec.n == 2
     assert spec.r1 == 1.0 and spec.r2 == 4.0
     assert spec.grid.shape == (8, 16)
     assert spec.newton_tol == 1e-10
@@ -59,7 +58,6 @@ def test_load_config_defaults(tmp_path):
            "alpha0 = \"0.1/rho^2\"\nalpha1 = \"0.25/rho\"\nphi = \"2.5/rho\"\n" \
            "[grid]\n"
     cfg = load_config(write_cfg(tmp_path, body=body))
-    assert cfg.problem.k == 2
     assert cfg.problem.grid.shape == (32, 64)
     assert cfg.outdir == tmp_path / "out"
     assert cfg.problem.newton_tol == 1e-10
@@ -98,13 +96,13 @@ def test_load_config_rejects_bad_grid(tmp_path):
 
 
 # names the run would not read: a misspelled key or section, keys in
-# [DEFAULT], an alpha past alpha{k-1}, and keys that runs may no longer set
+# [DEFAULT], an alpha past alpha1, and keys that runs may no longer set
 # (extra text lands in [output])
 UNKNOWN_NAMES = {
     "misspelled-key": ("[solver]\nnewton_tl = 1e-30\n", "unknown key 'newton_tl' in [solver]"),
     "misspelled-section": ("[solvr]\nnewton_tol = 1e-30\n", "unknown section [solvr] in {cfg}"),
     "default-section": ("[DEFAULT]\nnewton_tol = 1e-9\n", "unknown section [DEFAULT] in {cfg}"),
-    "alpha-past-k": ("", "unknown key 'alpha1' in [problem]"),
+    "alpha-past-k": ("", "unknown key 'alpha2' in [problem]"),
     "removed-solver-key": ("[solver]\nt_step_min = 1e-4\n", "unknown key 't_step_min' in [solver]"),
     "removed-output-key": ("mesh = false\n", "unknown key 'mesh' in [output]"),
 }
@@ -116,19 +114,23 @@ def test_unknown_config_name_is_bad_input(tmp_path, capsys, command, case):
     extra, message = UNKNOWN_NAMES[case]
     cfg = write_cfg(tmp_path, extra=extra)
     if case == "alpha-past-k":
-        cfg.write_text(cfg.read_text().replace("k = 2", "k = 1"))
+        cfg.write_text(cfg.read_text().replace("phi = ", 'alpha2 = "0.1/rho"\nphi = '))
     assert cli.main([command, str(cfg)]) == 2
     assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
     assert not (tmp_path / "out").exists()
 
 
-def test_huge_k_is_refused_by_its_range(tmp_path, capsys):
-    # k sizes the alpha0..alpha{k-1} keys; it is range-checked before any
-    # of them is looked up
+# the solver treats sigma_2/sigma_1 on surfaces only; a file may state k
+# and n, but only as 2, and a huge k sizes nothing
+@pytest.mark.parametrize("key, value", [("k", 1), ("k", 3), ("k", 1000000), ("n", 3)])
+def test_k_or_n_other_than_2_is_bad_input(tmp_path, capsys, key, value):
     cfg = write_cfg(tmp_path)
-    cfg.write_text(cfg.read_text().replace("k = 2", "k = 1000000"))
+    cfg.write_text(cfg.read_text().replace(f"{key} = 2", f"{key} = {value}"))
     assert cli.main(["check", str(cfg)]) == 2
-    assert capsys.readouterr().err == "error: need 2 <= k <= n, got k=1000000, n=2\n"
+    assert capsys.readouterr().err == (
+        f"error: need {key} = 2 (sigma_2/sigma_1 on surfaces), got {key}={value}\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 # values that parse as floats but leave no problem to solve: a tolerance
@@ -156,7 +158,7 @@ def test_readme_config_example_loads_with_the_defaults(tmp_path):
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     cfg = load_config(write_cfg(tmp_path, body=block))
     spec = cfg.problem
-    assert (spec.k, spec.n, spec.r1, spec.r2) == (2, 2, 1.0, 4.0)
+    assert (spec.r1, spec.r2) == (1.0, 4.0)
     assert spec.alphas == (parse("(0.6 - 0.05*rho)/rho^2"), parse("0.25/rho"))
     assert spec.phi == parse("2.5/rho")
     # the example shows the default of every optional key
@@ -240,6 +242,22 @@ def test_unevaluable_coefficient_error_names_its_key(tmp_path, capsys, command, 
     else:
         assert cli.main([command, str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "verify"])
+@pytest.mark.parametrize("key", sorted(FAULTY_KEY))
+def test_literal_too_large_for_a_double_is_bad_input(tmp_path, capsys, command, key):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(f'"{FAULTY_KEY[key]}"', '"1e400"'))
+    solution = tmp_path / "sphere.csv"
+    write_solution_csv(solution, spheregeom.SphereGrid(8, 16), np.full((8, 16), 2.0))
+    args = [str(solution), str(cfg)] if command == "verify" else [str(cfg)]
+    assert cli.main([command, *args]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad expression for {key!r}: number '1e400' is too large for a double "
+        "(byte offset 0)\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_solve_stalled_at_t0_exits_3(tmp_path, capsys):

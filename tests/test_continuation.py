@@ -55,7 +55,7 @@ def benchmark_spec(grid=None, alpha0=ALPHA0, alpha1=ALPHA1, phi=PROFILE, **kw):
     if grid is None:
         grid = SphereGrid(16, 32)
     return ProblemSpec(
-        k=2, n=2, r1=1.0, r2=4.0, alphas=(alpha0, alpha1), phi=phi,
+        r1=1.0, r2=4.0, alphas=(alpha0, alpha1), phi=phi,
         grid=grid, **kw,
     )
 
@@ -200,7 +200,7 @@ def test_initializer_stops_when_floats_run_out(monkeypatch):
     # the benchmark scaled by 1e4: near 25000 adjacent floats are 3.6e-12
     # apart, so the bisection can never get the interval below 2e-12
     spec = ProblemSpec(
-        k=2, n=2, r1=1e4, r2=4e4,
+        r1=1e4, r2=4e4,
         alphas=("(0.6 - 0.05*rho/1e4)/rho^2", "0.25/rho"), phi="2.5e4/rho",
         grid=SphereGrid(8, 16),
     )

@@ -31,7 +31,7 @@ def benchmark_spec(grid=None, **kw):
     if grid is None:
         grid = SphereGrid(16, 32)
     return ProblemSpec(
-        k=2, n=2, r1=1.0, r2=4.0, alphas=(ALPHA0, ALPHA1), phi=PROFILE,
+        r1=1.0, r2=4.0, alphas=(ALPHA0, ALPHA1), phi=PROFILE,
         grid=grid, **kw,
     )
 
@@ -64,20 +64,14 @@ def radial_residual_slope(R, t):
 def test_spec_validation():
     grid = SphereGrid(8, 16)
     with pytest.raises(ValueError):
-        ProblemSpec(k=2, n=3, r1=1.0, r2=4.0, alphas=(ALPHA0, ALPHA1),
+        ProblemSpec(r1=4.0, r2=1.0, alphas=(ALPHA0, ALPHA1),
                     phi=PROFILE, grid=grid)
     with pytest.raises(ValueError):
-        ProblemSpec(k=1, n=2, r1=1.0, r2=4.0, alphas=(ALPHA0,),
-                    phi=PROFILE, grid=grid)
-    with pytest.raises(ValueError):
-        ProblemSpec(k=2, n=2, r1=4.0, r2=1.0, alphas=(ALPHA0, ALPHA1),
-                    phi=PROFILE, grid=grid)
-    with pytest.raises(ValueError):
-        ProblemSpec(k=2, n=2, r1=1.0, r2=4.0, alphas=(ALPHA0,),
+        ProblemSpec(r1=1.0, r2=4.0, alphas=(ALPHA0,),
                     phi=PROFILE, grid=grid)
     # the hypothesis lattice cannot sample a band out to an infinite barrier
     with pytest.raises(ValueError):
-        ProblemSpec(k=2, n=2, r1=1.0, r2=float("inf"), alphas=(ALPHA0, ALPHA1),
+        ProblemSpec(r1=1.0, r2=float("inf"), alphas=(ALPHA0, ALPHA1),
                     phi=PROFILE, grid=grid)
     with pytest.raises(ValueError):
         benchmark_spec(grid=grid, newton_tol=0.0)
@@ -95,12 +89,6 @@ def test_solver_settings_validation():
     assert 0 < T_STEP_MIN < 1
     assert NEWTON_MAX_ITER >= 1
     assert MAX_BACKTRACKS >= 0
-
-
-def test_round_ratio():
-    spec = benchmark_spec(grid=SphereGrid(8, 16))
-    # sigma_2(e)/sigma_1(e) for the unit 2-sphere eigenvalues
-    assert spec.round_ratio == 0.5
 
 
 def test_alpha_blend_endpoints():
@@ -148,7 +136,6 @@ def test_residual_rejects_inadmissible_field():
     with pytest.raises(AdmissibilityError) as exc:
         residual_field(spec, bad, 1.0)
     assert exc.value.node is not None
-    assert exc.value.order == 1
     # the Jacobian refuses the same field, at the same node
     with pytest.raises(AdmissibilityError) as jac_exc:
         jacobian(spec, bad, 1.0)
@@ -177,7 +164,7 @@ def test_bad_field_errors_name_the_node_as_plain_ints(case, error):
         rho = 2.0 + 1.5 * np.cos(th) * np.sin(th) * np.cos(2 * ph)
     else:
         spec = ProblemSpec(
-            k=2, n=2, r1=1.0, r2=4.0, alphas=("1.5e308", ALPHA1), phi=PROFILE,
+            r1=1.0, r2=4.0, alphas=("1.5e308", ALPHA1), phi=PROFILE,
             grid=spec.grid,
         )
         rho = np.full(spec.grid.shape, 3.0)
@@ -255,7 +242,7 @@ def jet_differences(spec, rho, t):
 def test_jacobian_partials_match_per_jet_differences(ntheta, nphi, t):
     grid = SphereGrid(ntheta, nphi)
     spec = ProblemSpec(
-        k=2, n=2, r1=1.0, r2=4.0, alphas=(TILTED_ALPHA0, ALPHA1), phi=PROFILE, grid=grid,
+        r1=1.0, r2=4.0, alphas=(TILTED_ALPHA0, ALPHA1), phi=PROFILE, grid=grid,
     )
     th = grid.theta[:, None]
     ph = grid.phi[None, :]

@@ -441,7 +441,7 @@ def test_obj_vertices_match_solution(tmp_path):
 
 def small_benchmark():
     return ProblemSpec(
-        k=2, n=2, r1=1.0, r2=4.0,
+        r1=1.0, r2=4.0,
         alphas=("(0.6 - 0.05*rho)/rho^2", "0.25/rho"), phi="2.5/rho",
         grid=SphereGrid(8, 16),
     )

@@ -41,6 +41,9 @@ def test_numbers_and_arithmetic():
     assert evaluate(parse("(1 + 2)*3"), env) == 9.0
     assert evaluate(parse("2^10"), env) == 1024.0
     assert evaluate(parse("1e2 + .5"), env) == 100.5
+    # a negative base to an integer power and zero to a non-negative one
+    # pass the power's domain guard
+    assert evaluate(parse("(0 - 8)^3 + 0^0 + 0^2"), env) == -511.0
 
 
 def test_precedence_and_associativity():
@@ -100,6 +103,12 @@ def test_syntax_errors_carry_byte_offsets():
         parse("")
     with pytest.raises(ExprSyntaxError):
         parse("rho @ 2")
+    # a literal that overflows a double is refused where it stands; one
+    # that underflows is zero
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse("rho*1e400")
+    assert str(exc.value) == "number '1e400' is too large for a double (byte offset 4)"
+    assert parse("1e-400") == Const(0.0)
 
 
 def test_name_errors():
@@ -114,7 +123,8 @@ def test_eval_errors():
     # overflow is reported at the node that overflowed, not returned as
     # inf, and numpy warns of nothing
     env = env_at(np.array([1.0, 2.0, 4.0]))
-    for text, offset in [("exp(1000)", 0), ("rho*1e308*10", 3), ("1e300/(rho*1e-300)", 5)]:
+    for text, offset in [("exp(1000)", 0), ("rho*1e308*10", 3), ("1e300/(rho*1e-300)", 5),
+                         ("2^(5000*rho)", 1)]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ExprEvalError) as exc:
@@ -144,23 +154,25 @@ def test_each_operator_parses_and_applies_its_row(symbol):
     assert np.array_equal(evaluate(node, env_at(rho)), OPERATORS[symbol][0](rho, 3.0))
 
 
-# for each guarded row, a text whose node of that row fails the guard, and
+# for each guarded row, texts whose node of that row fails the guard, and
 # that node's byte offset
 GUARD_FAULTS = {
-    "/": ("1/(rho - rho)", 1),
-    "log": ("1 + log(0 - 1)", 4),
-    "sqrt": ("1 + sqrt(0 - 4)", 4),
+    "/": [("1/(rho - rho)", 1)],
+    # zero to a negative power, a negative base to a non-integer one
+    "^": [("(rho - rho)^(0 - 1)", 11), ("1 + (0 - 8)^(1/3)", 11)],
+    "log": [("1 + log(0 - 1)", 4)],
+    "sqrt": [("1 + sqrt(0 - 4)", 4)],
 }
 
 
 @pytest.mark.parametrize("name", sorted(name for name, row in ROWS.items() if row[1]))
 def test_each_guard_raises_its_message_at_the_node(name):
-    text, offset = GUARD_FAULTS[name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ExprEvalError) as exc:
-            evaluate(parse(text), env_at(np.array([1.0, 2.0, 4.0])), "phi")
-    assert str(exc.value) == f"{ROWS[name][1][0]} in phi (byte offset {offset})"
+    for text, offset in GUARD_FAULTS[name]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExprEvalError) as exc:
+                evaluate(parse(text), env_at(np.array([1.0, 2.0, 4.0])), "phi")
+        assert str(exc.value) == f"{ROWS[name][1][0]} in phi (byte offset {offset})"
 
 
 @pytest.mark.parametrize(

@@ -27,5 +27,9 @@ def test_traced_binding_exists(module, name):
 
 
 def test_traced_sparse_solver_module_exists():
-    # the tracer wraps the factorizations through `continuation.spla`
-    assert hasattr(importlib.import_module("weingarten.continuation"), "spla")
+    # the tracer wraps the factorizations through `continuation.spla`, and
+    # reads every name it stands in for when it installs
+    continuation = importlib.import_module("weingarten.continuation")
+    assert hasattr(continuation, "spla")
+    for name in load_layertrace().LINSOLVE_FUNCTIONS:
+        assert callable(getattr(continuation.spla, name, None)), name

@@ -24,7 +24,7 @@ TILTED_ALPHA0 = "(0.6 - 0.05*rho)*(1 + 0.05*(0.6*x1 + 0.48*x2 + 0.64*x3)/rho)/rh
 
 def spec_on(grid, alpha0):
     return ProblemSpec(
-        k=2, n=2, r1=1.0, r2=4.0, alphas=(alpha0, ALPHA1), phi=PROFILE, grid=grid
+        r1=1.0, r2=4.0, alphas=(alpha0, ALPHA1), phi=PROFILE, grid=grid
     )
 
 
