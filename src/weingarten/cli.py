@@ -81,6 +81,8 @@ def cmd_solve(args):
     except ContinuationFailure as err:
         print(f"continuation stalled at t={err.t_last:.6f}")
         print(f"last failed solve: {err.reason}")
+        t0 = "converged" if err.report.steps else "did not converge"
+        print(f"last target t={err.t_target:.6f}; the t=0 solve {t0}")
         return EXIT_STALLED
 
     out = cfg.outdir

@@ -77,11 +77,13 @@ class ConeExitError(RuntimeError):
 
 class ContinuationFailure(RuntimeError):
     """Homotopy steps shrank below the minimum before reaching t=1;
-    `reason` says why the last attempted solve failed."""
+    `t_target` is the target of the last attempted solve and `reason` says
+    why it failed."""
 
-    def __init__(self, t_last, rho_last, report, reason):
+    def __init__(self, t_last, t_target, rho_last, report, reason):
         super().__init__(f"continuation stalled at t={t_last:.6f}")
         self.t_last = t_last
+        self.t_target = t_target
         self.rho_last = rho_last
         self.report = report
         self.reason = reason
@@ -488,7 +490,7 @@ def continue_to_one(spec, callback=None):
         if reason is not None:
             dt *= 0.5
             if not steps or dt < T_STEP_MIN:
-                raise ContinuationFailure(t, rho, SolveReport(steps, hypothesis), reason)
+                raise ContinuationFailure(t, target, rho, SolveReport(steps, hypothesis), reason)
         else:
             rho, t = newton.rho, target
             step = _record_step(spec, rho, t, newton, wall_ms)

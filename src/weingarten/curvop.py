@@ -29,9 +29,7 @@ import numpy as np
 
 from . import symmfunc
 from .exprlang import evaluate, parse
-from .spheregeom import (
-    SphereGrid, _metric_parts, _norm, _raw_derivatives, _second_form_parts, geometry
-)
+from .spheregeom import SphereGrid, _curvatures, _raw_derivatives, geometry
 
 __all__ = [
     "AdmissibilityError",
@@ -97,10 +95,9 @@ def alpha_blend(spec, env, t):
     return t * target + (1.0 - t) * source
 
 
-def _admissible_sigma1(geom):
-    """sigma_1 of geom; AdmissibilityError at the first node where it is
-    not positive (kappa outside Gamma_1)."""
-    sigma1 = geom.sigma1
+def _admissible_sigma1(sigma1):
+    """sigma1; AdmissibilityError at the first node where it is not
+    positive (kappa outside Gamma_1)."""
     if np.any(sigma1 <= 0.0):
         bad = tuple(np.argwhere(sigma1 <= 0.0)[0].tolist())
         raise AdmissibilityError(bad)
@@ -121,7 +118,7 @@ def residual(spec, geom, t):
     Requires kappa in Gamma_1 (sigma_1 > 0) at every node; raises
     AdmissibilityError (with the offending node) otherwise.
     """
-    sigma1 = _admissible_sigma1(geom)
+    sigma1 = _admissible_sigma1(geom.sigma1)
     t_alpha0, blend = _coefficients(spec, geom.grid.node_env(geom.rho), t)
     out = geom.sigma2 / sigma1
     out = out - t_alpha0 / sigma1
@@ -158,21 +155,20 @@ class Linearization:
         return out
 
 
-def _form_partials(grid, geom, w, t_alpha0, sigma1):
+def _form_partials(rho, w, g, h, t_alpha0, sigma1, sigma2):
     """dF/dg and the second-jet partials -(rho/w) dF/dh per node, each as
-    (tt, tp, pp).  The curvature part of the residual is the quotient
-    (det h - t alpha_0 det g) / D, D = g_pp h_tt - 2 g_tp h_tp + g_tt h_pp
-    = det g * sigma_1; g and h die on return."""
-    quotient = (geom.sigma2 - t_alpha0) / sigma1
-    g_tt, g_tp, g_pp = _metric_parts(grid, geom.rho, *geom.jets[:2])
-    h_tt, h_tp, h_pp = _second_form_parts(grid, geom.rho, geom.jets, w)
+    (tt, tp, pp), from the forms g and h of `_curvatures`.  The curvature
+    part of the residual is the quotient (det h - t alpha_0 det g) / D,
+    D = g_pp h_tt - 2 g_tp h_tp + g_tt h_pp = det g * sigma_1."""
+    quotient = (sigma2 - t_alpha0) / sigma1
+    (g_tt, g_tp, g_pp), (h_tt, h_tp, h_pp) = g, h
     inv_d = 1.0 / (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp)
     f_g = (
         -(t_alpha0 * g_pp + quotient * h_pp) * inv_d,
         2.0 * (t_alpha0 * g_tp + quotient * h_tp) * inv_d,
         -(t_alpha0 * g_tt + quotient * h_tt) * inv_d,
     )
-    inv_d *= -geom.rho / w
+    inv_d *= -rho / w
     return f_g, (
         (h_pp - quotient * g_pp) * inv_d,
         -2.0 * (h_tp - quotient * g_tp) * inv_d,
@@ -193,9 +189,11 @@ def jacobian(spec, rho, t):
     sigma_1 <= 0, as `residual` does.
     """
     grid = spec.grid
-    geom = geometry(grid, rho)
-    sigma1 = _admissible_sigma1(geom)
-    rho, (r_t, r_p) = geom.rho, geom.jets[:2]
+    rho = grid.check_field(rho)
+    jets = _raw_derivatives(grid, rho)
+    w, g, h, sigma1, sigma2 = _curvatures(grid, rho, jets)
+    _admissible_sigma1(sigma1)
+    r_t, r_p = jets[:2]
     env = grid.node_env(rho)
     t_alpha0 = t * evaluate(spec.alphas[0], env, "alpha0")
     step = np.finfo(float).eps ** (1.0 / 3.0) * rho
@@ -205,12 +203,14 @@ def jacobian(spec, rho, t):
     slope = ((up_a0 - down_a0) / sigma1 + up_blend - down_blend) / (2.0 * step)
     del env, up_a0, up_blend, down_a0, down_blend
 
-    w = _norm(grid, rho, r_t, r_p)
-    (f_tt, f_tp, f_pp), (p_tt, p_tp, p_pp) = _form_partials(grid, geom, w, t_alpha0, sigma1)
+    (f_tt, f_tp, f_pp), (p_tt, p_tp, p_pp) = _form_partials(
+        rho, w, g, h, t_alpha0, sigma1, sigma2
+    )
+    del g, h
     # h = (rho/w) B, so rho, rho_t and rho_p also scale h through rho/w, with
     # weight dF/dh . h; by Euler's relation (det h has degree 2 in h, D
     # degree 1) that weight is (sigma_2 + t alpha_0) / sigma_1
-    euler = (geom.sigma2 + t_alpha0) / sigma1
+    euler = (sigma2 + t_alpha0) / sigma1
     euler_w = euler / (w * w)
     st, ct = grid.sin_theta[:, None], grid.cos_theta[:, None]
     a, b = r_t / rho, r_p / rho

@@ -8,9 +8,11 @@ value(-theta, phi) = value(theta, phi + pi).  They are defined once, by
 slicing a padded field (`_raw_derivatives`); the Jacobian applies the same
 slices to a direction, and its preconditioner reads their weights off the
 response to a unit impulse.  Curvature is closed-form 2x2 algebra applied
-node by node to rho and its jets: sigma_1 and sigma_2 are the trace and
-determinant of the shape operator S = g^-1 h, with no square root or
-eigenvalue; the principal curvatures are built from S only on request.
+node by node to rho and its jets, in one pass (`_curvatures`) that forms
+w and the fundamental forms g and h once: sigma_1 = D / det g, with D =
+g_pp h_tt - 2 g_tp h_tp + g_tt h_pp, and sigma_2 = det h / det g, with no
+square root or eigenvalue.  The residual and the Jacobian read that pass;
+the shape operator S = g^-1 h is built only for `kappa`, on request.
 The kernel runs as a chain of small steps whose temporaries die as each
 step returns, so it holds a few grid-sized arrays at a time.  A
 GeometryState keeps what the solver's a priori bounds and residual read:
@@ -127,20 +129,27 @@ class GeometryState:
     grid: SphereGrid
     rho: np.ndarray
     jets: tuple                   # (rho_t, rho_p, rho_tt, rho_tp, rho_pp)
-    sigma1: np.ndarray            # tr(g^-1 h), the mean curvature H
-    sigma2: np.ndarray            # det(g^-1 h), the Gauss curvature K
+    sigma1: np.ndarray            # D / det g = tr(g^-1 h), the mean curvature H
+    sigma2: np.ndarray            # det h / det g, the Gauss curvature K
     support: np.ndarray           # <X, nu> = rho^2 / sqrt(rho^2 + |D rho|^2)
 
     @property
     def kappa(self):
         """Principal curvatures, ascending, (nt, np, 2), rebuilt on each
-        read; the solver never reads them.  The discriminant is formed
-        from the entries of S, not as sigma_1^2 - 4 sigma_2, which cancels
-        at umbilic points."""
-        w = _norm(self.grid, self.rho, self.jets[0], self.jets[1])
-        s_tt, s_tp, s_pt, s_pp = _shape_operator(self.grid, self.rho, self.jets, w)
+        read from the entries s_ij of the shape operator S = g^-1 h =
+        adj(g) h / det g; the solver never reads them.  Trace and
+        discriminant are formed from the s_ij, not from sigma_1 and
+        sigma_1^2 - 4 sigma_2, which cancels at umbilic points."""
+        _, (g_tt, g_tp, g_pp), (h_tt, h_tp, h_pp), _, _ = _curvatures(
+            self.grid, self.rho, self.jets
+        )
+        det = g_tt * g_pp - g_tp * g_tp
+        s_tt = (g_pp * h_tt - g_tp * h_tp) / det
+        s_tp = (g_pp * h_tp - g_tp * h_pp) / det
+        s_pt = (g_tt * h_tp - g_tp * h_tt) / det
+        s_pp = (g_tt * h_pp - g_tp * h_tp) / det
         radius = 0.5 * np.sqrt(np.maximum(0.0, (s_tt - s_pp) ** 2 + 4.0 * s_tp * s_pt))
-        half_trace = 0.5 * self.sigma1
+        half_trace = 0.5 * (s_tt + s_pp)
         return np.stack([half_trace - radius, half_trace + radius], axis=-1)
 
 
@@ -180,47 +189,38 @@ def _second_form_parts(grid, rho, jets, w):
     return h_tt, h_tp, h_pp
 
 
-def _shape_operator(grid, rho, jets, w):
-    """Entries (s_tt, s_tp, s_pt, s_pp) of the shape operator S = g^-1 h,
-    with g^-1 = adj(g) / det g."""
-    g_tt, g_tp, g_pp = _metric_parts(grid, rho, jets[0], jets[1])
-    h_tt, h_tp, h_pp = _second_form_parts(grid, rho, jets, w)
+def _curvatures(grid, rho, jets):
+    """The kernel's one pass: w, g = (g_tt, g_tp, g_pp), h = (h_tt, h_tp,
+    h_pp), sigma_1 = D / det g and sigma_2 = det h / det g.  Raises
+    ValueError at the first node where rho is not positive, then
+    FloatingPointError at the first where either sigma is not finite."""
+    if np.any(rho <= 0.0):
+        bad = tuple(np.argwhere(rho <= 0.0)[0].tolist())
+        raise ValueError(f"rho must be positive, violated at node {bad}")
+    w = _norm(grid, rho, jets[0], jets[1])
+    g = g_tt, g_tp, g_pp = _metric_parts(grid, rho, jets[0], jets[1])
+    h = h_tt, h_tp, h_pp = _second_form_parts(grid, rho, jets, w)
     det = g_tt * g_pp - g_tp * g_tp
-    return (
-        (g_pp * h_tt - g_tp * h_tp) / det,
-        (g_pp * h_tp - g_tp * h_pp) / det,
-        (g_tt * h_tp - g_tp * h_tt) / det,
-        (g_tt * h_pp - g_tp * h_tp) / det,
-    )
+    sigma1 = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det
+    sigma2 = (h_tt * h_pp - h_tp * h_tp) / det
+    finite = np.isfinite(sigma1) & np.isfinite(sigma2)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0].tolist())
+        raise FloatingPointError(f"non-finite curvature at node {bad}")
+    return w, g, h, sigma1, sigma2
 
 
 def local_geometry(grid, rho, jets):
     """Geometry of a radial graph node by node, from rho and its jets
     (rho_t, rho_p, rho_tt, rho_tp, rho_pp) at each node; no stencil is
-    applied here, so any jet may be perturbed on its own.
-
-    sigma_1 and sigma_2 of the principal curvatures are the trace and the
-    determinant of the shape operator S = g^-1 h.  Raises
-    FloatingPointError at the first node where either is not finite.
+    applied here, so any jet may be perturbed on its own.  sigma_1 and
+    sigma_2 come from `_curvatures`, with its errors.
     """
-    w = _norm(grid, rho, jets[0], jets[1])
-    support = rho * rho / w
-    s_tt, s_tp, s_pt, s_pp = _shape_operator(grid, rho, jets, w)
-    sigma1 = s_tt + s_pp
-    sigma2 = s_tt * s_pp - s_tp * s_pt
-
-    finite = np.isfinite(sigma1) & np.isfinite(sigma2)
-    if not finite.all():
-        bad = tuple(np.argwhere(~finite)[0].tolist())
-        raise FloatingPointError(f"non-finite curvature at node {bad}")
-
-    return GeometryState(grid, rho, tuple(jets), sigma1, sigma2, support)
+    w, _, _, sigma1, sigma2 = _curvatures(grid, rho, jets)
+    return GeometryState(grid, rho, tuple(jets), sigma1, sigma2, rho * rho / w)
 
 
 def geometry(grid, rho):
     """Full extrinsic geometry of the radial graph rho over the grid."""
     rho = grid.check_field(rho)
-    if np.any(rho <= 0.0):
-        bad = tuple(np.argwhere(rho <= 0.0)[0].tolist())
-        raise ValueError(f"rho must be positive, violated at node {bad}")
     return local_geometry(grid, rho, _raw_derivatives(grid, rho))

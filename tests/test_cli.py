@@ -276,6 +276,26 @@ def test_solve_stall_says_why(tmp_path, capsys):
     assert lines[stalled + 1].startswith(
         "last failed solve: StagnationError: no residual decrease after 8 halvings"
     )
+    assert lines[stalled + 2] == "last target t=0.000000; the t=0 solve did not converge"
+
+
+def test_solve_stall_after_t0_names_its_target(tmp_path, capsys, monkeypatch):
+    # the t=0 solve converges, every later one stagnates: dt halves from 1
+    # down to 2^-13 before the step floor, and the last line says so
+    newton_solve = continuation.newton_solve
+
+    def stagnating(spec, rho, t):
+        if t > 0.0:
+            raise continuation.StagnationError("stubbed")
+        return newton_solve(spec, rho, t)
+
+    monkeypatch.setattr(continuation, "newton_solve", stagnating)
+    cfg = write_cfg(tmp_path)
+    assert cli.main(["solve", str(cfg)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    stalled = lines.index("continuation stalled at t=0.000000")
+    assert lines[stalled + 1] == "last failed solve: StagnationError: stubbed"
+    assert lines[stalled + 2] == "last target t=0.000122; the t=0 solve converged"
 
 
 def test_check_missing_config_is_bad_input(tmp_path, capsys):

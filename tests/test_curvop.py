@@ -2,11 +2,12 @@
 the matrix-free Jacobian's accuracy and symmetries, ellipticity and
 concavity."""
 
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from weingarten import curvop
+from weingarten import curvop, spheregeom
 from weingarten.continuation import MAX_BACKTRACKS, NEWTON_MAX_ITER, T_STEP_MIN
 from weingarten.curvop import (
     AdmissibilityError,
@@ -170,6 +171,9 @@ def test_bad_field_errors_name_the_node_as_plain_ints(case, error):
         rho = np.full(spec.grid.shape, 3.0)
     with np.errstate(all="ignore"), pytest.raises(error, match=r"at node \(\d+, \d+\)"):
         residual_field(spec, rho, 1.0)
+    if case != "overflow":  # the Jacobian does not evaluate the residual
+        with np.errstate(all="ignore"), pytest.raises(error, match=r"at node \(\d+, \d+\)"):
+            jacobian(spec, rho, 1.0)
 
 
 def test_jacobian_constant_direction_matches_radial_slope_on_fine_grid():
@@ -264,6 +268,52 @@ def test_jacobian_evaluates_the_coefficients_a_few_times(monkeypatch):
     spec = benchmark_spec()
     jacobian(spec, np.full(spec.grid.shape, 2.5), 0.5)
     assert 0 < len(calls) <= 9
+
+
+def test_jacobian_forms_w_g_and_h_once(monkeypatch):
+    # the partials take w, g and h from the one curvature pass
+    calls = []
+    for name in ("_norm", "_metric_parts", "_second_form_parts"):
+        for module in (spheregeom, curvop):
+            if hasattr(module, name):
+                def counting(*args, _name=name, _form=getattr(module, name)):
+                    calls.append(_name)
+                    return _form(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    spec = benchmark_spec(grid=SphereGrid(8, 16))
+    jacobian(spec, np.full(spec.grid.shape, 2.5), 0.5)
+    assert sorted(calls) == ["_metric_parts", "_norm", "_second_form_parts"]
+
+
+@pytest.mark.parametrize("call, bound", [
+    ("geometry", 20.5), ("residual_field", 20.5), ("jacobian", 32.5),
+])
+def test_kernel_peak_memory_in_grid_arrays(call, bound):
+    # traced peak of one warm call at 64x128, in units of one grid array;
+    # a GeometryState keeps its jets, sigma_1, sigma_2 and the support
+    grid = SphereGrid(64, 128)
+    spec = ProblemSpec(
+        r1=1.0, r2=4.0, alphas=(TILTED_ALPHA0, ALPHA1), phi=PROFILE, grid=grid,
+    )
+    th = grid.theta[:, None]
+    ph = grid.phi[None, :]
+    rho = 2.0 + 0.1 * np.cos(th) + 0.05 * np.sin(th) * np.cos(ph)
+    run = {
+        "geometry": lambda: geometry(grid, rho),
+        "residual_field": lambda: residual_field(spec, rho, 0.5),
+        "jacobian": lambda: jacobian(spec, rho, 0.5),
+    }[call]
+    run()
+    tracemalloc.start()
+    try:
+        result = run()  # alive while the traced memory is read
+        held, peak = (m / rho.nbytes for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    if call == "geometry":
+        assert held <= 8.25
 
 
 def test_jacobian_phi_shift_commutes_exactly():
