@@ -42,7 +42,7 @@ from .exprlang import (
     ExprSyntaxError,
     evaluate,
     parse,
-    radial_derivative,
+    ray_slope,
 )
 from .export import (
     SolutionFormatError,

@@ -155,13 +155,9 @@ def cmd_export(args):
     rho = _read_solution(args.solution, grid)
     out = args.output
     if out is None:
-        suffix = ".obj" if args.format == "obj" else ".csv"
-        base = args.solution
-        out = os.path.splitext(base)[0] + "_export" + suffix
-    if args.format == "obj":
-        write_obj(out, grid, rho)
-    else:
-        write_solution_csv(out, grid, rho)
+        out = os.path.splitext(args.solution)[0] + "_export." + args.format
+    writer = write_obj if args.format == "obj" else write_solution_csv
+    writer(out, grid, rho)
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linsolve as spla
 from .curvop import AdmissibilityError, jacobian, residual_field
-from .exprlang import Binary, Const, EvalEnv, Var, evaluate, radial_derivative
+from .exprlang import EvalEnv, evaluate, ray_slope
 from .spheregeom import geometry
 
 __all__ = [
@@ -44,8 +44,9 @@ __all__ = [
 
 #: radius samples per shell band; the full band [r1/2, 2 r2] gets twice as many
 SAMPLES = 48
-# Tolerance for non-strict hypothesis margins; absorbs finite-difference
-# rounding when the true margin is exactly zero.
+# Tolerance for non-strict hypothesis margins; absorbs the rounding of
+# terms that cancel when the true margin is exactly zero, such as the two
+# terms of a weighted coefficient constant in rho, a few ulps of each.
 MARGIN_SLACK = 1e-10
 # Newton gives up after this many accepted steps per solve, and a step
 # after this many halvings.
@@ -106,9 +107,6 @@ class HypothesisEntry:
     def passed(self):
         if self.strict:
             return self.margin > 0.0
-        # Non-strict margins are often exactly zero in exact arithmetic
-        # (e.g. a weighted coefficient that is constant in rho); allow
-        # rounding noise from the finite-difference slope estimate.
         return self.margin >= -MARGIN_SLACK
 
 
@@ -153,22 +151,14 @@ def _direction_lattice(n_theta=6, n_phi=8):
     thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
     phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    d1 = (np.sin(tt) * np.cos(pp)).ravel()
-    d2 = (np.sin(tt) * np.sin(pp)).ravel()
-    d3 = np.cos(tt).ravel()
-    d1 = np.concatenate([d1, [0.0, 0.0]])
-    d2 = np.concatenate([d2, [0.0, 0.0]])
-    d3 = np.concatenate([d3, [1.0, -1.0]])
-    return d1, d2, d3
+    lattice = (np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt))
+    poles = ([0.0, 0.0], [0.0, 0.0], [1.0, -1.0])
+    return tuple(np.concatenate([d.ravel(), pole]) for d, pole in zip(lattice, poles))
 
 
 def _band_env(radii, directions):
-    d1, d2, d3 = directions
-    rr = np.repeat(radii, d1.size)
-    x1 = rr * np.tile(d1, radii.size)
-    x2 = rr * np.tile(d2, radii.size)
-    x3 = rr * np.tile(d3, radii.size)
-    return EvalEnv(rr, x1, x2, x3)
+    rr = np.repeat(radii, directions[0].size)
+    return EvalEnv(rr, *(rr * np.tile(d, radii.size) for d in directions))
 
 
 def _worst(margins, radii, dirs):
@@ -229,18 +219,12 @@ def check_hypotheses(spec):
 
     gap_outer = shell_gap(env_outer)
     gap_inner = -shell_gap(env_inner)
-    fd_step = min(1e-5, 0.25 * r1)
-    weights = (Binary("^", Var("rho"), Const(2.0)), Var("rho"))
-    slopes = np.stack([
-        sampled(radial_derivative(
-            Binary("*", weight, alpha), env_shell, h=fd_step, key=f"alpha{l}",
-        ), env_shell)
-        for l, (weight, alpha) in enumerate(zip(weights, spec.alphas))
-    ])
-    alpha_shell = np.stack([
-        sampled(evaluate(alpha, env_shell, f"alpha{l}"), env_shell)
-        for l, alpha in enumerate(spec.alphas)
-    ])
+    shell_alphas = [ray_slope(alpha, env_shell, f"alpha{l}") for l, alpha in enumerate(spec.alphas)]
+    # d/d rho (rho^(2-l) alpha_l) = (2-l) rho^(1-l) alpha_l + rho^(2-l) alpha_l'
+    r = env_shell.rho
+    slopes = np.stack([(2 - l) * r ** (1 - l) * a + r ** (2 - l) * da
+                       for l, (a, da) in enumerate(shell_alphas)])
+    alpha_shell = np.stack([sampled(a, env_shell) for a, _ in shell_alphas])
     profile_full = profile(env_full)
     # the drop along each ray: each radius sample minus the next one out
     per_ray = profile_full.reshape(full.size, ndir)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmfunc
-from .exprlang import evaluate, parse
+from .exprlang import evaluate, parse, ray_slope
 from .spheregeom import SphereGrid, _curvatures, _raw_derivatives, geometry
 
 __all__ = [
@@ -104,12 +104,6 @@ def _admissible_sigma1(sigma1):
     return sigma1
 
 
-def _coefficients(spec, env, t):
-    """The residual's coefficient terms at the points of env: t * alpha_0
-    and the deformed top coefficient alpha_1(X, t)."""
-    return t * evaluate(spec.alphas[0], env, "alpha0"), alpha_blend(spec, env, t)
-
-
 def residual(spec, geom, t):
     """Per-node residual of the deformed equation at homotopy time t:
 
@@ -119,7 +113,9 @@ def residual(spec, geom, t):
     AdmissibilityError (with the offending node) otherwise.
     """
     sigma1 = _admissible_sigma1(geom.sigma1)
-    t_alpha0, blend = _coefficients(spec, geom.grid.node_env(geom.rho), t)
+    env = geom.grid.node_env(geom.rho)
+    t_alpha0, blend = t * evaluate(spec.alphas[0], env, "alpha0"), alpha_blend(spec, env, t)
+    del env
     out = geom.sigma2 / sigma1
     out = out - t_alpha0 / sigma1
     out = out - blend
@@ -184,24 +180,26 @@ def jacobian(spec, rho, t):
     (`_form_partials`) with the explicit derivatives of g = (rho^2 +
     rho_t^2, rho_t rho_p, rho^2 sin^2 + rho_p^2) and of h = (rho/w) B,
     w = sqrt(rho^2 + |D rho|^2), whose B is linear in the second jets.
-    The coefficients' slope in the radius is one central difference along
-    each node's ray, step eps^(1/3) rho.  Raises AdmissibilityError where
-    sigma_1 <= 0, as `residual` does.
+    The coefficients' slope in the radius is `ray_slope`'s, one per
+    coefficient.  Raises AdmissibilityError where sigma_1 <= 0, as
+    `residual` does.
     """
     grid = spec.grid
     rho = grid.check_field(rho)
-    jets = _raw_derivatives(grid, rho)
-    w, g, h, sigma1, sigma2 = _curvatures(grid, rho, jets)
+    with np.errstate(all="ignore"):
+        jets = _raw_derivatives(grid, rho)
+        w, g, h, sigma1, sigma2 = _curvatures(grid, rho, jets)
     _admissible_sigma1(sigma1)
     r_t, r_p = jets[:2]
     env = grid.node_env(rho)
-    t_alpha0 = t * evaluate(spec.alphas[0], env, "alpha0")
-    step = np.finfo(float).eps ** (1.0 / 3.0) * rho
-    (up_a0, up_blend), (down_a0, down_blend) = (
-        _coefficients(spec, env.along_ray(r), t) for r in (rho + step, rho - step)
+    (alpha0, d_alpha0), (_, d_alpha1), (phi, d_phi) = (
+        ray_slope(node, env, key)
+        for node, key in zip((*spec.alphas, spec.phi), ("alpha0", "alpha1", "phi"))
     )
-    slope = ((up_a0 - down_a0) / sigma1 + up_blend - down_blend) / (2.0 * step)
-    del env, up_a0, up_blend, down_a0, down_blend
+    t_alpha0 = t * alpha0
+    # d/d rho of t alpha_0 / sigma_1 + alpha_1(X, t) along each ray
+    slope = t * (d_alpha0 / sigma1 + d_alpha1) + (1.0 - t) * 0.5 * (d_phi - phi / rho) / rho
+    del env, alpha0, _, d_alpha0, d_alpha1, phi, d_phi
 
     (f_tt, f_tp, f_pp), (p_tt, p_tp, p_pp) = _form_partials(
         rho, w, g, h, t_alpha0, sigma1, sigma2

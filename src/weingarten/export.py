@@ -207,15 +207,25 @@ def write_obj(path, grid, rho):
 
     One vertex per node plus a ring-averaged vertex at each pole; quads
     between rings are split into triangles and the polar holes closed by
-    fans, all faces oriented outward.
+    fans, all faces oriented outward.  A field that is not positive or whose
+    pole vertex overflows is refused, naming where, before a file is opened.
     """
     rho = grid.check_field(rho)
     nt, nphi = grid.shape
     d1, d2, d3 = grid.directions()
+    if not np.all(rho > 0.0):
+        bad = tuple(np.argwhere(~(rho > 0.0))[0].tolist())
+        raise SolutionFormatError(f"cannot mesh: rho must be positive, violated at node {bad}")
 
     def ring(i):
         """The (nphi, 3) vertices of theta ring i."""
         return np.stack([rho[i] * d1[i], rho[i] * d2[i], rho[i] * d3[i]], axis=-1)
+
+    with np.errstate(over="ignore"):
+        poles = np.stack([ring(0).mean(axis=0), ring(nt - 1).mean(axis=0)])
+    if not np.isfinite(poles).all():
+        i = 0 if not np.isfinite(poles[0]).all() else nt - 1
+        raise SolutionFormatError(f"cannot mesh: the pole vertex of theta ring {i} overflows")
 
     # 1-based vertex ids of ring 0; `nxt` is the neighbour one step on in phi
     ids = np.arange(1, nphi + 1)
@@ -231,7 +241,6 @@ def write_obj(path, grid, rho):
         vertices = OBJ_VERTEX * nphi
         for i in range(nt):
             fh.write(vertices % tuple(ring(i).ravel().tolist()))
-        poles = np.stack([ring(0).mean(axis=0), ring(nt - 1).mean(axis=0)])
         fh.write((OBJ_VERTEX * 2) % tuple(poles.ravel().tolist()))
         fh.write(fan % tuple(np.stack([north, ids, nxt], axis=-1).ravel().tolist()))
         faces = OBJ_FACE * (2 * nphi)

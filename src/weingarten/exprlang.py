@@ -4,13 +4,15 @@ Expressions are built from the variables rho, x1, x2, x3 and u = x3/rho,
 float literals (one too large for a double is a syntax error), the
 operators + - * / ^ (with ^ binding tightest and right-associative, then
 unary minus, then * /, then + -), and the functions exp, log, sqrt, sin,
-cos, abs, min, max.  Evaluation is plain
-IEEE double arithmetic and works elementwise on numpy arrays, so a whole
-grid of sample points is one evaluation.
+cos, abs, min, max.  Evaluation is plain IEEE double arithmetic and works
+elementwise on numpy arrays, so a whole grid of sample points is one
+evaluation.
 
 The operations are two tables, `OPERATORS` and `FUNCTIONS`, of
-(operation, domain guard) rows that the parser and `evaluate` both read.
-Each evaluation runs under one numpy floating-point context that warns of
+(operation, domain guard, slope rule) rows that the parser, `evaluate`
+and `ray_slope` read; `ray_slope` carries each node's derivative along
+the ray beside its value, exact up to rounding, with no step.  Each
+evaluation runs under one numpy floating-point context that warns of
 nothing; every operator and function node is checked instead, so an
 overflow or a domain fault is an `ExprEvalError` at the node's offset.
 """
@@ -35,34 +37,49 @@ __all__ = [
     "Call",
     "parse",
     "evaluate",
-    "radial_derivative",
+    "ray_slope",
 ]
 
 VARIABLES = ("rho", "x1", "x2", "x3", "u")
-#: name -> (numpy ufunc, domain guard or None); the arity is the ufunc's
-#: `nin`, and a guard is (message, predicate true at a fault of the arguments)
+
+
+def _chain(slope, factor):
+    """slope * factor, but 0 where slope is 0, even where factor is not finite."""
+    return np.where(slope == 0.0, 0.0, slope * factor)
+
+
+#: name -> (numpy ufunc, domain guard or None, slope rule); the arity is the
+#: ufunc's `nin`, a guard is (message, predicate true at a fault of the
+#: arguments) and a rule maps (value, *args, *arg_slopes) to the slope;
+#: abs, min and max take at a tie the one-sided slope as rho grows
 FUNCTIONS = {
-    "exp": (np.exp, None),
-    "log": (np.log, ("log of a non-positive value", lambda x: x <= 0.0)),
-    "sqrt": (np.sqrt, ("sqrt of a negative value", lambda x: x < 0.0)),
-    "sin": (np.sin, None),
-    "cos": (np.cos, None),
-    "abs": (np.abs, None),
-    "min": (np.minimum, None),
-    "max": (np.maximum, None),
+    "exp": (np.exp, None, lambda out, a, da: out * da),
+    "log": (np.log, ("log of a non-positive value", lambda x: x <= 0.0), lambda out, a, da: da / a),
+    "sqrt": (np.sqrt, ("sqrt of a negative value", lambda x: x < 0.0),
+             lambda out, a, da: _chain(da, 0.5 / out)),
+    "sin": (np.sin, None, lambda out, a, da: np.cos(a) * da),
+    "cos": (np.cos, None, lambda out, a, da: -np.sin(a) * da),
+    "abs": (np.abs, None, lambda out, a, da: np.where(a == 0.0, np.abs(da), np.sign(a) * da)),
+    "min": (np.minimum, None, lambda out, a, b, da, db: np.where(
+        (a < b) | (a == b) & (da <= db), da, db)),
+    "max": (np.maximum, None, lambda out, a, b, da, db: np.where(
+        (a > b) | (a == b) & (da >= db), da, db)),
 }
-#: symbol -> (operation, domain guard or None), read like FUNCTIONS
+#: symbol -> (operation, domain guard or None, slope rule), read like FUNCTIONS;
+#: the power's log(a) term is taken only where the exponent moves
 OPERATORS = {
-    "+": (operator.add, None),
-    "-": (operator.sub, None),
-    "*": (operator.mul, None),
-    "/": (operator.truediv, ("division by zero", lambda left, right: right == 0.0)),
+    "+": (operator.add, None, lambda out, a, b, da, db: da + db),
+    "-": (operator.sub, None, lambda out, a, b, da, db: da - db),
+    "*": (operator.mul, None, lambda out, a, b, da, db: da * b + a * db),
+    "/": (operator.truediv, ("division by zero", lambda left, right: right == 0.0),
+          lambda out, a, b, da, db: (da - out * db) / b),
     "^": (np.power, (
         "power of zero to a negative or of a negative to a non-integer exponent",
         lambda base, power: (
             (base == 0.0) & (power < 0.0) | (base < 0.0) & (power != np.floor(power))
         ),
-    )),
+    ), lambda out, a, b, da, db: _chain(da * b, np.power(a, b - 1.0))
+        + (_chain(db, out * np.log(a)) if np.any(db) else 0.0)),
 }
 
 #: relative tolerance for the coordinate/radius consistency check
@@ -117,11 +134,6 @@ class EvalEnv:
     @property
     def u(self):
         return self.x3 / self.rho
-
-    def along_ray(self, new_rho):
-        """Same direction, different radius: coordinates rescale with rho."""
-        scale = np.asarray(new_rho, float) / self.rho
-        return EvalEnv(new_rho, self.x1 * scale, self.x2 * scale, self.x3 * scale)
 
 
 @dataclass(frozen=True)
@@ -297,40 +309,40 @@ def evaluate(node, env, key=None):
     non-finite value raise ExprEvalError with the node's offset and `key`,
     the name of the expression evaluated."""
     with np.errstate(all="ignore"):
-        return _walk(node, env, key)
+        return _walk(node, env, key, False)[0]
 
 
-def _walk(node, env, key):
+def ray_slope(node, env, key=None):
+    """(value, slope) of an AST at an EvalEnv: the slope is d/d rho along the
+    ray through each point, by the rows' slope rules (forward mode), and is
+    checked like the value, as in `evaluate`."""
+    with np.errstate(all="ignore"):
+        return _walk(node, env, key, True)
+
+
+def _walk(node, env, key, ray):
+    """(value, slope) of a node; the slope is False unless `ray`."""
     if isinstance(node, Const):
-        return node.value
+        return node.value, ray and 0.0
     if isinstance(node, Var):
-        return getattr(env, node.name)
+        # along the ray rho and x_i = rho d_i move at value/rho, and u stays fixed
+        value = getattr(env, node.name)
+        return value, ray and (0.0 if node.name == "u" else value / env.rho)
     if isinstance(node, Unary):
-        return -_walk(node.operand, env, key)
+        value, slope = _walk(node.operand, env, key, ray)
+        return -value, ray and -slope
     if isinstance(node, Binary):
-        apply, guard = OPERATORS[node.op]
-        args = (_walk(node.left, env, key), _walk(node.right, env, key))
+        (apply, guard, rule), children = OPERATORS[node.op], (node.left, node.right)
     elif isinstance(node, Call):
-        apply, guard = FUNCTIONS[node.func]
-        args = [_walk(a, env, key) for a in node.args]
+        (apply, guard, rule), children = FUNCTIONS[node.func], node.args
     else:
         raise TypeError(f"not an expression node: {node!r}")
+    args, slopes = zip(*(_walk(child, env, key, ray) for child in children))
     if guard is not None and np.any(guard[1](*args)):
         raise ExprEvalError(guard[0], node.pos, key)
     out = apply(*args)
-    if not np.isfinite(out).all():
-        raise ExprEvalError("non-finite value", node.pos, key)
-    return out
-
-
-def radial_derivative(node, env, h=1e-6, key=None):
-    """Central-difference derivative along the ray through each sample
-    point: direction cosines stay fixed, the radius moves by +-h.  `key`
-    names the expression as in `evaluate`."""
-    if h <= 0.0:
-        raise ValueError("step h must be positive")
-    if np.any(env.rho - h <= 0.0):
-        raise ValueError("step h too large: rho - h must stay positive")
-    upper = evaluate(node, env.along_ray(env.rho + h), key)
-    lower = evaluate(node, env.along_ray(env.rho - h), key)
-    return (upper - lower) / (2.0 * h)
+    slope = ray and rule(out, *args, *slopes)
+    for what, checked in (("value", out), ("slope", slope)):
+        if not np.isfinite(checked).all():
+            raise ExprEvalError(f"non-finite {what}", node.pos, key)
+    return out, slope

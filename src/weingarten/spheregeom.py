@@ -221,6 +221,7 @@ def local_geometry(grid, rho, jets):
 
 
 def geometry(grid, rho):
-    """Full extrinsic geometry of the radial graph rho over the grid."""
+    """Full extrinsic geometry of the radial graph rho over the grid; numpy warns of nothing."""
     rho = grid.check_field(rho)
-    return local_geometry(grid, rho, _raw_derivatives(grid, rho))
+    with np.errstate(all="ignore"):
+        return local_geometry(grid, rho, _raw_derivatives(grid, rho))

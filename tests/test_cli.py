@@ -501,6 +501,44 @@ def test_overflowing_coefficient_is_one_error_line(tmp_path):
     assert done.stderr == "error: non-finite value in alpha1 (byte offset 3)\n"
 
 
+@pytest.mark.parametrize("value", [1e200, 1e-200, 1e308])
+def test_verify_of_an_extreme_field_is_one_failure_line(tmp_path, value):
+    # the geometry kernel overflows or divides by zero on these finite
+    # fields; no numpy warning reaches the user ahead of the failure
+    cfg = write_cfg(tmp_path)
+    grid = spheregeom.SphereGrid(8, 16)
+    solution = tmp_path / "solution.csv"
+    write_solution_csv(solution, grid, np.full(grid.shape, value))
+    done = run_program(tmp_path, "-m", "weingarten.cli", "verify", str(solution), str(cfg))
+    assert done.returncode == 1
+    assert done.stdout == "verification failed: non-finite curvature at node (0, 0)\n"
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("value, node, reason", [
+    (-2.0, (3, 5), "rho must be positive, violated at node (3, 5)"),
+    (0.0, (7, 0), "rho must be positive, violated at node (7, 0)"),
+    (1e308, None, "the pole vertex of theta ring 0 overflows"),
+])
+def test_export_obj_refuses_a_field_it_cannot_mesh(tmp_path, value, node, reason):
+    # an inside-out, collapsed or overflowing mesh is refused, as verify
+    # refuses the field, and no file is written
+    cfg = write_cfg(tmp_path)
+    grid = spheregeom.SphereGrid(8, 16)
+    rho = np.full(grid.shape, 2.0 if node else value)
+    if node:
+        rho[node] = value
+    solution = tmp_path / "solution.csv"
+    write_solution_csv(solution, grid, rho)
+    done = run_program(
+        tmp_path, "-m", "weingarten.cli", "export", str(solution), str(cfg), "--format", "obj"
+    )
+    assert done.returncode == 2
+    assert done.stderr == f"error: cannot mesh: {reason}\n"
+    assert done.stdout == ""
+    assert not (tmp_path / "solution_export.obj").exists()
+
+
 def test_check_verify_export_never_import_scipy(tmp_path):
     # the program runs on numpy alone: no command, solve included, pays
     # for scipy's import

@@ -114,19 +114,33 @@ def test_hypothesis_margins_match_closed_forms():
     assert all(entry.passed for entry in report.entries.values())
 
 
+@pytest.mark.parametrize("c", [0.25, 2.5, 25.0, 250.0, 2.5e4])
+def test_weighted_monotone_is_exact_for_a_constant_weighted_coefficient(c):
+    # rho * alpha_1 = c is constant in rho: the margin is zero up to the
+    # rounding of its two cancelling terms, whatever the scale of c
+    report = check_hypotheses(benchmark_spec(alpha0="0", alpha1=f"{c}/rho"))
+    monotone = report.entries["weighted_monotone"]
+    assert abs(monotone.margin) <= 1e-13 * c
+    assert monotone.passed
+
+
 def count_evaluate(monkeypatch, budget=None):
     """Record the key of every call to `continuation.evaluate`, the name
-    the benchmark's layer tracer binds; past `budget` calls, fail."""
+    the benchmark's layer tracer binds, and to `continuation.ray_slope`,
+    which evaluates a coefficient with its slope; past `budget` calls,
+    fail."""
     keys = []
-    real = continuation.evaluate
 
-    def counted(node, env, key=None):
-        keys.append(key)
-        if budget is not None and len(keys) > budget:
-            raise AssertionError(f"more than {budget} coefficient evaluations")
-        return real(node, env, key)
+    def counting(real):
+        def counted(node, env, key=None):
+            keys.append(key)
+            if budget is not None and len(keys) > budget:
+                raise AssertionError(f"more than {budget} coefficient evaluations")
+            return real(node, env, key)
+        return counted
 
-    monkeypatch.setattr(continuation, "evaluate", counted)
+    for name in ("evaluate", "ray_slope"):
+        monkeypatch.setattr(continuation, name, counting(getattr(continuation, name)))
     return keys
 
 

@@ -257,17 +257,17 @@ def test_jacobian_partials_match_per_jet_differences(ntheta, nphi, t):
 
 
 def test_jacobian_evaluates_the_coefficients_a_few_times(monkeypatch):
+    # one ray_slope per coefficient gives its value and its radial slope
     calls = []
-    evaluate = curvop.evaluate
+    for name in ("evaluate", "ray_slope"):
+        def counting(*args, _name=name, _real=getattr(curvop, name)):
+            calls.append((_name, args[-1]))
+            return _real(*args)
 
-    def counting_evaluate(*args):
-        calls.append(args[-1])
-        return evaluate(*args)
-
-    monkeypatch.setattr(curvop, "evaluate", counting_evaluate)
+        monkeypatch.setattr(curvop, name, counting)
     spec = benchmark_spec()
     jacobian(spec, np.full(spec.grid.shape, 2.5), 0.5)
-    assert 0 < len(calls) <= 9
+    assert sorted(calls) == [("ray_slope", key) for key in ("alpha0", "alpha1", "phi")]
 
 
 def test_jacobian_forms_w_g_and_h_once(monkeypatch):

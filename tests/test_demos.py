@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the installed API."""
+"""Every demo script runs to completion against the installed API, with
+any numpy RuntimeWarning an error, as in the test suite."""
 
 import os
 import subprocess
@@ -18,7 +19,7 @@ def test_demo_runs(tmp_path, demo):
     src = str(Path(weingarten.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -1,6 +1,6 @@
 """Coefficient expression language: parsing, evaluation, every row of
-the operator and function tables, error reporting with byte offsets, and
-the evaluation environment."""
+the operator and function tables with their slope rules, error reporting
+with byte offsets, and the evaluation environment."""
 
 import warnings
 
@@ -21,7 +21,7 @@ from weingarten.exprlang import (
     Var,
     evaluate,
     parse,
-    radial_derivative,
+    ray_slope,
 )
 
 ROWS = {**OPERATORS, **FUNCTIONS}
@@ -186,7 +186,7 @@ def test_eval_errors_name_the_key_at_any_depth(text):
         evaluate(parse(text), env, "alpha1")
     assert " in alpha1 (byte offset " in str(exc.value)
     with pytest.raises(ExprEvalError) as exc:
-        radial_derivative(parse(text), env, key="phi")
+        ray_slope(parse(text), env, key="phi")
     assert " in phi (byte offset " in str(exc.value)
     with pytest.raises(ExprEvalError) as exc:
         evaluate(parse(text), env)
@@ -202,16 +202,67 @@ def test_ast_shape():
     assert node == Call("min", (Var("rho"), Const(2.0)))
 
 
-def test_radial_derivative():
+def test_ray_slope():
     env = env_at(2.0)
     # d/drho of (0.6 - 0.05 rho)/rho^2 at rho=2 is -0.1375
-    node = parse("(0.6 - 0.05*rho)/rho^2")
-    got = radial_derivative(node, env)
-    assert abs(got - (-0.1375)) < 1e-9
-    # the derivative scales points along the ray, so u stays fixed
-    envp = EvalEnv(rho=2.0, x1=0.0, x2=0.0, x3=2.0)
-    got = radial_derivative(parse("u"), envp)
-    assert abs(got) < 1e-9
+    value, slope = ray_slope(parse("(0.6 - 0.05*rho)/rho^2"), env)
+    assert value == evaluate(parse("(0.6 - 0.05*rho)/rho^2"), env)
+    assert abs(slope - (-0.1375)) < 1e-15
+    # along the ray x_i scales with rho and u stays fixed
+    env = EvalEnv(rho=2.0, x1=1.2, x2=0.0, x3=1.6)
+    assert ray_slope(parse("x1"), env) == (1.2, 0.6)
+    assert ray_slope(parse("x3"), env) == (1.6, 0.8)
+    assert ray_slope(parse("u"), env) == (0.8, 0.0)
+    assert ray_slope(parse("rho*u - x3"), env)[1] == 0.0
+
+
+def ray_env(rho, d1, d2, d3):
+    return EvalEnv(rho=rho, x1=rho * d1, x2=rho * d2, x3=rho * d3)
+
+
+# smooth arguments for each row, both moving along the ray: for rho in
+# [1, 3] "A" lies in [1, 8] and "B" in [0.3, 0.6], so neither is zero or a tie
+SLOPE_ARGS = {"A": "(1.5 + 0.3*x1 - 0.2*u) * rho", "B": "0.6 + 0.05*x2 - 0.05*rho"}
+
+
+@pytest.mark.parametrize("name", sorted(ROWS))
+def test_each_row_has_a_slope_rule_matching_a_difference(name):
+    if name in OPERATORS:
+        text = f"(A) {name} (B)"
+    else:
+        text = f"{name}({', '.join('AB'[:FUNCTIONS[name][0].nin])})"
+    node = parse(text.replace("A", SLOPE_ARGS["A"]).replace("B", SLOPE_ARGS["B"]))
+    rng = np.random.default_rng(7)
+    d = rng.normal(size=(3, 50))
+    d1, d2, d3 = d / np.linalg.norm(d, axis=0)
+    rho = rng.uniform(1.0, 3.0, 50)
+    assert len(ROWS[name]) == 3 and callable(ROWS[name][2])
+    value, slope = ray_slope(node, ray_env(rho, d1, d2, d3))
+    assert np.array_equal(value, evaluate(node, ray_env(rho, d1, d2, d3)))
+    h = 1e-5
+    upper, lower = (evaluate(node, ray_env(rho + s, d1, d2, d3)) for s in (h, -h))
+    fd = (upper - lower) / (2.0 * h)
+    assert np.abs(slope - fd).max() <= 1e-7 * max(1.0, np.abs(fd).max())
+
+
+@pytest.mark.parametrize("text, want", [
+    # at a tie the slope is one-sided, as rho grows
+    ("abs(rho - 2)", 1.0), ("abs(2 - rho)", 1.0),
+    ("min(rho, 4 - rho)", -1.0), ("max(rho, 4 - rho)", 1.0),
+    ("min(4 - rho, rho)", -1.0), ("max(4 - rho, rho)", 1.0),
+    # an argument that does not move along the ray moves nothing, even
+    # where its outer slope factor is infinite
+    ("sqrt(x1^2 + x2^2)", 0.0), ("sqrt(1 - u)", 0.0), ("(1 - u)^0.5", 0.0),
+])
+def test_ray_slope_at_ties_and_at_rest(text, want):
+    env = EvalEnv(rho=2.0, x1=0.0, x2=0.0, x3=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, slope = ray_slope(parse(text), env)
+    assert slope == want
+    h = 1e-6
+    one_sided = (evaluate(parse(text), ray_env(2.0 + h, 0.0, 0.0, 1.0)) - evaluate(parse(text), env)) / h
+    assert abs(one_sided - want) <= 1e-6
 
 
 def test_env_consistency_check():
@@ -219,11 +270,3 @@ def test_env_consistency_check():
         EvalEnv(rho=2.0, x1=1.0, x2=1.0, x3=1.0)
     with pytest.raises(ValueError):
         EvalEnv(rho=-1.0, x1=0.0, x2=0.0, x3=-1.0)
-
-
-def test_env_along_ray():
-    env = EvalEnv(rho=2.0, x1=0.0, x2=0.0, x3=2.0)
-    out = env.along_ray(4.0)
-    assert out.rho == 4.0
-    assert out.x3 == 4.0
-    assert out.u == env.u
