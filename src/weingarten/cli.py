@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 hypothesis or verification failure, 2 unusable
 input (missing files, malformed config or solution, a coefficient that
 cannot be evaluated), 3 continuation failure, a failed t=0 solve
 included, printed with the reason the last solve failed.  `verify`
-reports a coefficient it cannot evaluate on the stored surface as a
-failed residual.  No environment variable is read: to cap the BLAS
-thread pools, export OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the
-process starts.
+reports a coefficient it cannot evaluate on the stored surface, or a
+residual that is not finite there, as a failed residual.  No environment
+variable is read: to cap the BLAS thread pools, export
+OPENBLAS_NUM_THREADS / OMP_NUM_THREADS before the process starts.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def cmd_verify(args):
         res_inf = float(np.abs(residual_field(spec, rho, 1.0)).max())
         if res_inf > tol:
             failures.append(f"residual: |F| = {res_inf:.3e} > {tol:.1e}")
-    except (AdmissibilityError, ExprEvalError) as err:
+    except (AdmissibilityError, ExprEvalError, FloatingPointError) as err:
         failures.append(f"residual: {err}")
         res_inf = float("nan")
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import linsolve as spla
 from .curvop import AdmissibilityError, jacobian, residual_field
 from .exprlang import EvalEnv, evaluate, ray_slope
-from .spheregeom import geometry
+from .spheregeom import SphereGrid, geometry
 
 __all__ = [
     "HypothesisEntry",
@@ -145,14 +145,11 @@ class HypothesisReport:
         return "\n".join(lines)
 
 
-def _direction_lattice(n_theta=6, n_phi=8):
-    """Deterministic unit directions: a staggered lattice plus both poles,
-    so the extreme values u = +-1 are always sampled."""
-    thetas = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-    phis = np.arange(n_phi) * 2.0 * math.pi / n_phi
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    lattice = (np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt))
+def _direction_lattice():
+    """Deterministic unit directions: the nodes of a 6x8 grid plus both
+    poles, so the extreme values u = +-1 are always sampled."""
     poles = ([0.0, 0.0], [0.0, 0.0], [1.0, -1.0])
+    lattice = SphereGrid(6, 8).directions()
     return tuple(np.concatenate([d.ravel(), pole]) for d, pole in zip(lattice, poles))
 
 
@@ -349,9 +346,13 @@ class SolveStep:
     sigma2_min: float
     H_max: float
     wall_ms: float
-    in_gamma_k: bool = True
     monitor_warnings: list = field(default_factory=list)
     newton_residual_norms: list = field(default_factory=list)
+
+    @property
+    def in_gamma_k(self):
+        """Whether the curvatures lie in Gamma_2: sigma_2 > 0 at every node."""
+        return self.sigma2_min > 0.0
 
     def report_row(self):
         return {
@@ -430,7 +431,6 @@ def _record_step(spec, rho, t, newton, wall_ms):
         linear_iters=newton.linear_iters,
         residual_inf=newton.residual_norms[-1],
         wall_ms=wall_ms,
-        in_gamma_k=values["sigma2_min"] > 0.0,
         monitor_warnings=violations,
         newton_residual_norms=list(newton.residual_norms),
         **values,

@@ -17,7 +17,8 @@ node, so its Jacobian is the chain rule: per-node partials with respect to
 each jet, times the grid's fixed derivative stencils.  It is kept
 matrix-free, as those partials, and applied to a field through the same
 stencils that build the jets.  The ellipticity and concavity checks are
-general in k and n.
+the closed forms of the same operator, G = (sigma_2 - alpha_0)/sigma_1,
+from trace and determinant, with no eigenvalue.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import symmfunc
 from .exprlang import evaluate, parse, ray_slope
 from .spheregeom import SphereGrid, _curvatures, _raw_derivatives, geometry
 
@@ -110,15 +110,18 @@ def residual(spec, geom, t):
         sigma_2 / sigma_1 - t * alpha_0 / sigma_1 - alpha_1(X, t).
 
     Requires kappa in Gamma_1 (sigma_1 > 0) at every node; raises
-    AdmissibilityError (with the offending node) otherwise.
+    AdmissibilityError (with the offending node) otherwise, and
+    FloatingPointError at the first node where the residual is not finite;
+    numpy warns of nothing.
     """
     sigma1 = _admissible_sigma1(geom.sigma1)
     env = geom.grid.node_env(geom.rho)
-    t_alpha0, blend = t * evaluate(spec.alphas[0], env, "alpha0"), alpha_blend(spec, env, t)
-    del env
-    out = geom.sigma2 / sigma1
-    out = out - t_alpha0 / sigma1
-    out = out - blend
+    with np.errstate(all="ignore"):
+        t_alpha0, blend = t * evaluate(spec.alphas[0], env, "alpha0"), alpha_blend(spec, env, t)
+        del env
+        out = geom.sigma2 / sigma1
+        out = out - t_alpha0 / sigma1
+        out = out - blend
     if not np.all(np.isfinite(out)):
         bad = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
         raise FloatingPointError(f"non-finite residual at node {bad}")
@@ -230,51 +233,35 @@ def jacobian(spec, rho, t):
     return Linearization(grid, partials)
 
 
-def _g_diagonal_derivative(lam, alphas, k):
-    """Diagonal derivative dG/d lam_i of
-    G = sigma_k/sigma_{k-1} - sum_{l<=k-2} alpha_l sigma_l/sigma_{k-1}."""
-    sig = symmfunc.sigma_all(lam)
-    grad_k = symmfunc.sigma_gradient(lam, k)
-    grad_km1 = symmfunc.sigma_gradient(lam, k - 1)
-    denom = sig[k - 1] ** 2
-    g_ii = (grad_k * sig[k - 1] - sig[k] * grad_km1) / denom
-    for l, a in enumerate(alphas):
-        grad_l = np.zeros(lam.size) if l == 0 else symmfunc.sigma_gradient(lam, l)
-        g_ii = g_ii - a * (grad_l * sig[k - 1] - sig[l] * grad_km1) / denom
-    return g_ii
-
-
-def ellipticity_check(lam, alphas, k):
-    """Ellipticity of the operator at an eigenvalue vector in Gamma_{k-1}:
-    returns (all diagonal derivatives positive, their minimum, their sum)."""
+def ellipticity_check(lam, alpha0):
+    """Ellipticity of G = (sigma_2 - alpha_0)/sigma_1 at a principal-curvature
+    pair lam in Gamma_1: dG/d lam_i = (lam_j^2 + alpha_0)/sigma_1^2, with j
+    the other index.  Returns (both positive, their minimum, their sum)."""
     lam = np.asarray(lam, dtype=float)
-    n = lam.size
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    if len(alphas) != k - 1:
-        raise ValueError(f"need k-1={k-1} coefficients alpha_0..alpha_{k-2}")
-    if any(a < 0 for a in alphas):
-        raise ValueError("coefficients must be nonnegative")
-    if not symmfunc.in_gamma_cone(lam, k - 1):
-        raise ValueError("eigenvalues must lie in Gamma_{k-1}")
-    g_ii = _g_diagonal_derivative(lam, list(alphas), k)
+    if lam.shape != (2,):
+        raise ValueError(f"need a pair of principal curvatures, got shape {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("principal curvatures must be finite")
+    if not alpha0 >= 0.0:
+        raise ValueError("alpha_0 must be nonnegative")
+    sigma1 = lam[0] + lam[1]
+    if not sigma1 > 0.0:
+        raise ValueError("principal curvatures must lie in Gamma_1 (sigma_1 > 0)")
+    g_ii = (lam[::-1] ** 2 + alpha0) / sigma1**2
     return bool(np.all(g_ii > 0.0)), float(g_ii.min()), float(g_ii.sum())
 
 
-def _g_of_matrix(mat, alphas, k):
-    lam = np.linalg.eigvalsh(mat)
-    if not symmfunc.in_gamma_cone(lam, k - 1):
-        raise ValueError("matrix eigenvalues must lie in Gamma_{k-1}")
-    sig = symmfunc.sigma_all(lam)
-    value = sig[k] / sig[k - 1]
-    for l, a in enumerate(alphas):
-        value -= a * sig[l] / sig[k - 1]
-    return value
+def _g_of_matrix(mat, alpha0):
+    """G(M) = (det M - alpha_0)/tr M, for M with eigenvalues in Gamma_1."""
+    trace = mat[0, 0] + mat[1, 1]
+    if not trace > 0.0:
+        raise ValueError("matrix eigenvalues must lie in Gamma_1 (tr M > 0)")
+    return (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] - alpha0) / trace
 
 
-def concavity_check(mat_a, mat_b, alphas, k):
-    """Midpoint concavity of the operator on symmetric matrices:
-    G((A+B)/2) >= (G(A)+G(B))/2 up to a 1e-10 slack."""
+def concavity_check(mat_a, mat_b, alpha0):
+    """Midpoint concavity of G(M) = (det M - alpha_0)/tr M on symmetric 2x2
+    matrices: G((A+B)/2) >= (G(A)+G(B))/2 up to a 1e-10 slack."""
     mat_a = np.asarray(mat_a, dtype=float)
     mat_b = np.asarray(mat_b, dtype=float)
     for mat in (mat_a, mat_b):
@@ -282,9 +269,7 @@ def concavity_check(mat_a, mat_b, alphas, k):
             raise ValueError("matrices must be 2x2")
         if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * max(1.0, np.abs(mat).max()):
             raise ValueError("matrices must be symmetric")
-    if len(alphas) != k - 1:
-        raise ValueError(f"need k-1={k-1} coefficients alpha_0..alpha_{k-2}")
-    value_a = _g_of_matrix(mat_a, alphas, k)
-    value_b = _g_of_matrix(mat_b, alphas, k)
-    value_mid = _g_of_matrix(0.5 * (mat_a + mat_b), alphas, k)
+    value_a = _g_of_matrix(mat_a, alpha0)
+    value_b = _g_of_matrix(mat_b, alpha0)
+    value_mid = _g_of_matrix(0.5 * (mat_a + mat_b), alpha0)
     return bool(value_mid >= 0.5 * (value_a + value_b) - CONCAVITY_SLACK)

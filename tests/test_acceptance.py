@@ -159,7 +159,7 @@ def test_c4_ellipticity_and_concavity():
         if rng.random() < 0.2:
             lam[1] = -rng.uniform(0.0, 0.8 * lam[0])  # Gamma_1 but not convex
         alpha0 = rng.uniform(0.0, 1.0)
-        ok, smallest, total = ellipticity_check(lam, (alpha0,), 2)
+        ok, smallest, total = ellipticity_check(lam, alpha0)
         assert ok
         assert smallest > 0.0
         assert total >= 0.5 - 1e-10
@@ -168,7 +168,7 @@ def test_c4_ellipticity_and_concavity():
         qb = rng.normal(size=(2, 2))
         mat_a = qa @ qa.T + 0.05 * np.eye(2)
         mat_b = qb @ qb.T + 0.05 * np.eye(2)
-        assert concavity_check(mat_a, mat_b, (rng.uniform(0.0, 1.0),), 2)
+        assert concavity_check(mat_a, mat_b, rng.uniform(0.0, 1.0))
     elapsed = time.perf_counter() - begin
     assert elapsed < 5.0
     print(f"PASS criterion 4: operator elliptic (trace bound 1/2) and "

@@ -483,12 +483,14 @@ def test_solve_verify_export_never_read_kappa(tmp_path, capsys, monkeypatch):
 
 def run_program(cwd, *argv):
     """The Python interpreter in a fresh process, with this package on its
-    path, so that what it prints to stderr is seen as a user sees it."""
+    path, so that what it prints to stderr is seen as a user sees it.  Any
+    numpy RuntimeWarning is an error there, as in the test suite."""
     env = dict(os.environ)
     src = str(Path(weingarten.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error::RuntimeWarning", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True,
     )
 
 
@@ -512,6 +514,20 @@ def test_verify_of_an_extreme_field_is_one_failure_line(tmp_path, value):
     done = run_program(tmp_path, "-m", "weingarten.cli", "verify", str(solution), str(cfg))
     assert done.returncode == 1
     assert done.stdout == "verification failed: non-finite curvature at node (0, 0)\n"
+    assert done.stderr == ""
+
+
+def test_verify_of_an_overflowing_residual_is_one_failure_line(tmp_path):
+    # the surface is a round sphere, but alpha_0 / sigma_1 overflows at
+    # t=1; the residual reports it as a failure, with no numpy warning
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace('"(0.6 - 0.05*rho)/rho^2"', '"1.5e308"'))
+    grid = spheregeom.SphereGrid(8, 16)
+    solution = tmp_path / "solution.csv"
+    write_solution_csv(solution, grid, np.full(grid.shape, 3.0))
+    done = run_program(tmp_path, "-m", "weingarten.cli", "verify", str(solution), str(cfg))
+    assert done.returncode == 1
+    assert done.stdout.splitlines()[-1] == "FAIL residual: non-finite residual at node (0, 0)"
     assert done.stderr == ""
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weingarten import curvop, spheregeom
+from weingarten import curvop, spheregeom, symmfunc
 from weingarten.continuation import MAX_BACKTRACKS, NEWTON_MAX_ITER, T_STEP_MIN
 from weingarten.curvop import (
     AdmissibilityError,
@@ -344,7 +344,7 @@ def test_jacobian_is_deterministic():
 
 
 def test_ellipticity_at_umbilic_point():
-    ok, smallest, total = ellipticity_check(np.array([1.0, 1.0]), (0.0,), 2)
+    ok, smallest, total = ellipticity_check(np.array([1.0, 1.0]), 0.0)
     assert ok
     # each diagonal entry of the linearization is exactly 1/4 there
     assert smallest == 0.25
@@ -357,8 +357,8 @@ def test_ellipticity_scale_invariance():
     rng = np.random.default_rng(21)
     for _ in range(25):
         lam = rng.uniform(0.2, 3.0, size=2)
-        ok1, lo1, tot1 = ellipticity_check(lam, (0.0,), 2)
-        ok2, lo2, tot2 = ellipticity_check(2.0 * lam, (0.0,), 2)
+        ok1, lo1, tot1 = ellipticity_check(lam, 0.0)
+        ok2, lo2, tot2 = ellipticity_check(2.0 * lam, 0.0)
         assert ok1 and ok2
         assert lo1 == lo2
         assert tot1 == tot2
@@ -366,31 +366,91 @@ def test_ellipticity_scale_invariance():
 
 def test_ellipticity_on_weak_cone_vectors():
     # needs only Gamma_{k-1}: sigma_2 may be negative
-    ok, smallest, total = ellipticity_check(np.array([1.0, -0.4]), (0.1,), 2)
+    ok, smallest, total = ellipticity_check(np.array([1.0, -0.4]), 0.1)
     assert ok
     assert smallest > 0.0
 
 
 def test_ellipticity_rejects_bad_input():
-    with pytest.raises(ValueError):
-        ellipticity_check(np.array([-1.0, -1.0]), (0.0,), 2)
-    with pytest.raises(ValueError):
-        ellipticity_check(np.array([1.0, 1.0]), (0.0, 0.0), 2)
-    with pytest.raises(ValueError):
-        ellipticity_check(np.array([1.0, 1.0]), (-0.1,), 2)
+    with pytest.raises(ValueError, match="Gamma_1"):
+        ellipticity_check(np.array([-1.0, -1.0]), 0.0)
+    with pytest.raises(ValueError, match="Gamma_1"):
+        ellipticity_check(np.array([1.0, -1.0]), 0.0)
+    for not_a_pair in ([1.0, 1.0, 1.0], [1.0], [[1.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="pair"):
+            ellipticity_check(np.array(not_a_pair), 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ellipticity_check(np.array([1.0, bad]), 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        ellipticity_check(np.array([1.0, 1.0]), -0.1)
+
+
+def gamma1_pairs(rng, count):
+    """Random pairs in Gamma_1, three in ten with sigma_2 < 0, each with
+    alpha_0 drawn from [0, 1) or, one time in five, alpha_0 = 0."""
+    for _ in range(count):
+        lam = rng.uniform(0.05, 3.0, size=2)
+        if rng.random() < 0.3:
+            lam[1] = -rng.uniform(0.0, 0.95 * lam[0])
+        rng.shuffle(lam)
+        yield lam, (rng.uniform(0.0, 1.0) if rng.random() < 0.8 else 0.0)
+
+
+def test_ellipticity_matches_the_general_quotient_rule():
+    # the reference is the paper's general form at k = 2: the quotient
+    # rule on sigma_2/sigma_1 - alpha_0 sigma_0/sigma_1, from symmfunc's
+    # sigma_l and their gradients; it subtracts terms larger than its
+    # result, so the comparison is relative to the size of those terms
+    for lam, alpha0 in gamma1_pairs(np.random.default_rng(41), 2000):
+        sig = symmfunc.sigma_all(lam)
+        grad1, grad2 = (symmfunc.sigma_gradient(lam, k) for k in (1, 2))
+        want = ((grad2 * sig[1] - sig[2] * grad1) + alpha0 * grad1) / sig[1] ** 2
+        terms = (np.abs(grad2 * sig[1]) + abs(sig[2]) + alpha0) / sig[1] ** 2
+        ok, smallest, total = ellipticity_check(lam, alpha0)
+        assert ok
+        assert abs(smallest - want.min()) <= 1e-14 * terms.max()
+        assert abs(total - want.sum()) <= 1e-14 * terms.sum()
+
+
+def test_operator_of_a_matrix_matches_its_eigenvalues():
+    # G(M) = (det M - alpha_0)/tr M against sigma_2/sigma_1 - alpha_0/sigma_1
+    # of eigvalsh(M), relative to max|lam| * sum_i dG/d lam_i, the size of
+    # G's change under the rounding of the eigenvalues
+    rng = np.random.default_rng(43)
+    for lam, alpha0 in gamma1_pairs(rng, 2000):
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        mat = q @ np.diag(lam) @ q.T
+        mat = 0.5 * (mat + mat.T)
+        sig = symmfunc.sigma_all(np.linalg.eigvalsh(mat))
+        want = sig[2] / sig[1] - alpha0 / sig[1]
+        scale = np.abs(lam).max() * (lam @ lam + 2.0 * alpha0) / lam.sum() ** 2
+        assert abs(curvop._g_of_matrix(mat, alpha0) - want) <= 1e-14 * scale
+
+
+def test_concavity_rejects_bad_input():
+    with pytest.raises(ValueError, match="2x2"):
+        concavity_check(np.eye(3), np.eye(3), 0.0)
+    with pytest.raises(ValueError, match="2x2"):
+        concavity_check(np.eye(2), np.ones(2), 0.0)
+    for outside in (np.diag([1.0, -1.0]), np.diag([-1.0, -2.0])):
+        with pytest.raises(ValueError, match="Gamma_1"):
+            concavity_check(np.eye(2), outside, 0.0)
+        with pytest.raises(ValueError, match="Gamma_1"):
+            concavity_check(outside, np.eye(2), 0.0)
 
 
 def test_concavity_small_example():
     A = np.diag([1.0, 3.0])
     B = np.diag([2.0, 1.0])
     # G(midpoint) = 3/3.5 exceeds the average (3/4 + 2/3)/2
-    assert concavity_check(A, B, (0.0,), 2)
+    assert concavity_check(A, B, 0.0)
 
 
 def test_concavity_rejects_asymmetric_input():
     A = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):
-        concavity_check(A, np.eye(2), (0.0,), 2)
+        concavity_check(A, np.eye(2), 0.0)
 
 
 def test_concavity_on_random_spd_pairs():
@@ -400,5 +460,5 @@ def test_concavity_on_random_spd_pairs():
         qb = rng.normal(size=(2, 2))
         A = qa @ qa.T + 0.05 * np.eye(2)
         B = qb @ qb.T + 0.05 * np.eye(2)
-        assert concavity_check(A, B, (0.0,), 2)
-        assert concavity_check(A, B, (0.3,), 2)
+        assert concavity_check(A, B, 0.0)
+        assert concavity_check(A, B, 0.3)
