@@ -116,14 +116,11 @@ def load_config(path):
     except ValueError as err:
         raise ConfigError(f"bad grid: {err}") from err
 
-    # an absent newton_tol keeps ProblemSpec's default
-    tol = {}
-    if "newton_tol" in solver_sec:
-        tol["newton_tol"] = _get(solver_sec, "newton_tol", float)
+    newton_tol = _get(solver_sec, "newton_tol", float, default=ProblemSpec.newton_tol)
     try:
         spec = ProblemSpec(
             r1=r1, r2=r2, alphas=(exprs["alpha0"], exprs["alpha1"]), phi=exprs["phi"],
-            grid=grid, **tol,
+            grid=grid, newton_tol=newton_tol,
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err

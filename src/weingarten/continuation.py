@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,7 +97,6 @@ class HypothesisEntry:
     sample sits, and for the shell inequalities also the margin at the
     shell radius itself."""
 
-    name: str
     strict: bool
     margin: float
     location: dict
@@ -112,7 +111,7 @@ class HypothesisEntry:
 
 @dataclass
 class HypothesisReport:
-    entries: dict
+    entries: dict  # check name -> HypothesisEntry
 
     @property
     def passed(self):
@@ -123,18 +122,12 @@ class HypothesisReport:
         return [name for name, entry in self.entries.items() if not entry.passed]
 
     def as_dict(self):
-        out = {"passed": self.passed, "checks": {}}
+        checks = {}
         for name, entry in self.entries.items():
-            record = {
-                "passed": entry.passed,
-                "strict": entry.strict,
-                "margin": entry.margin,
-                "location": entry.location,
-            }
-            if entry.boundary_margin is not None:
-                record["boundary_margin"] = entry.boundary_margin
-            out["checks"][name] = record
-        return out
+            # an entry without a boundary margin leaves that key out
+            fields = {key: value for key, value in asdict(entry).items() if value is not None}
+            checks[name] = {"passed": entry.passed, **fields}
+        return {"passed": self.passed, "checks": checks}
 
     def table(self):
         lines = ["check                     status  worst margin   at"]
@@ -153,20 +146,14 @@ def _direction_lattice():
     return tuple(np.concatenate([d.ravel(), pole]) for d, pole in zip(lattice, poles))
 
 
-def _band_env(radii, directions):
-    rr = np.repeat(radii, directions[0].size)
-    return EvalEnv(rr, *(rr * np.tile(d, radii.size) for d in directions))
-
-
 def _worst(margins, radii, dirs):
-    """Minimum of a margin field sampled radius-major on radii x dirs, and
+    """Minimum of a margin field sampled on the grid radii x dirs, and
     where it sits: the radius, u = cos(theta), and the polar and azimuthal
-    angles theta, phi of the lattice direction.  A stacked (2, N) field,
-    one row per coefficient alpha_l, also names l; ties go to the lowest
-    l, then the first sample."""
+    angles theta, phi of the lattice direction.  A stacked (2, radii,
+    dirs) field, one layer per coefficient alpha_l, also names l; ties go
+    to the lowest l, then the smallest radius, then the first direction."""
     idx = int(np.argmin(margins))
-    shape = np.shape(margins)[:-1] + (radii.size, dirs[0].size)
-    *layer, i, j = np.unravel_index(idx, shape)
+    *layer, i, j = np.unravel_index(idx, np.shape(margins))
     d1, d2, d3 = (float(d[j]) for d in dirs)
     location = {
         "rho": float(radii[i]),
@@ -193,19 +180,20 @@ def check_hypotheses(spec):
     """
     r1, r2 = spec.r1, spec.r2
     dirs = _direction_lattice()
-    ndir = dirs[0].size
 
     outer = np.linspace(r2, 2.0 * r2, SAMPLES)
     inner = np.linspace(0.5 * r1, r1, SAMPLES)
     shell = np.linspace(r1, r2, SAMPLES)
     full = np.linspace(0.5 * r1, 2.0 * r2, 2 * SAMPLES)
+    # each band is a (radius, direction) grid; rho is its radius column
     env_outer, env_inner, env_shell, env_full = (
-        _band_env(radii, dirs) for radii in (outer, inner, shell, full)
+        EvalEnv(radii[:, None], *(radii[:, None] * d for d in dirs))
+        for radii in (outer, inner, shell, full)
     )
 
     def sampled(values, env):
-        # constant expressions evaluate to scalars; spread them over the band
-        return np.broadcast_to(np.asarray(values, dtype=float), env.rho.shape)
+        # constants and fields of rho alone spread over the whole band
+        return np.broadcast_to(np.asarray(values, dtype=float), env.x1.shape)
 
     def shell_gap(env):
         gap = 1.0 / env.rho**2 - evaluate(spec.alphas[0], env, "alpha0")
@@ -219,18 +207,17 @@ def check_hypotheses(spec):
     shell_alphas = [ray_slope(alpha, env_shell, f"alpha{l}") for l, alpha in enumerate(spec.alphas)]
     # d/d rho (rho^(2-l) alpha_l) = (2-l) rho^(1-l) alpha_l + rho^(2-l) alpha_l'
     r = env_shell.rho
-    slopes = np.stack([(2 - l) * r ** (1 - l) * a + r ** (2 - l) * da
+    slopes = np.stack([sampled((2 - l) * r ** (1 - l) * a + r ** (2 - l) * da, env_shell)
                        for l, (a, da) in enumerate(shell_alphas)])
     alpha_shell = np.stack([sampled(a, env_shell) for a, _ in shell_alphas])
     profile_full = profile(env_full)
     # the drop along each ray: each radius sample minus the next one out
-    per_ray = profile_full.reshape(full.size, ndir)
-    drops = (per_ray[:-1] - per_ray[1:]).ravel()
+    drops = profile_full[:-1] - profile_full[1:]
 
     # name, strict, band radii, margin field, worst margin at the barrier radius
     rows = [
-        ("shell_outer", False, outer, gap_outer, float(gap_outer[:ndir].min())),
-        ("shell_inner", False, inner, gap_inner, float(gap_inner[-ndir:].min())),
+        ("shell_outer", False, outer, gap_outer, float(gap_outer[0].min())),
+        ("shell_inner", False, inner, gap_inner, float(gap_inner[-1].min())),
         ("weighted_monotone", False, shell, -slopes, None),
         ("alpha_positive", True, shell, alpha_shell, None),
         ("profile_positive", True, full, profile_full, None),
@@ -239,7 +226,7 @@ def check_hypotheses(spec):
         ("profile_decreasing", True, full[:-1], drops, None),
     ]
     return HypothesisReport({
-        name: HypothesisEntry(name, strict, *_worst(margins, radii, dirs), boundary)
+        name: HypothesisEntry(strict, *_worst(margins, radii, dirs), boundary)
         for name, strict, radii, margins, boundary in rows
     })
 
@@ -339,6 +326,7 @@ class SolveStep:
     newton_iters: int
     linear_iters: int
     residual_inf: float
+    newton_residual_norms: list
     rho_min: float
     rho_max: float
     support_min: float
@@ -346,8 +334,7 @@ class SolveStep:
     sigma2_min: float
     H_max: float
     wall_ms: float
-    monitor_warnings: list = field(default_factory=list)
-    newton_residual_norms: list = field(default_factory=list)
+    monitor_warnings: list
 
     @property
     def in_gamma_k(self):
@@ -355,20 +342,8 @@ class SolveStep:
         return self.sigma2_min > 0.0
 
     def report_row(self):
-        return {
-            "t": self.t,
-            "newton_iters": self.newton_iters,
-            "linear_iters": self.linear_iters,
-            "residual_inf": self.residual_inf,
-            "newton_residual_norms": list(self.newton_residual_norms),
-            "rho_min": self.rho_min,
-            "rho_max": self.rho_max,
-            "support_min": self.support_min,
-            "sigma1_min": self.sigma1_min,
-            "sigma2_min": self.sigma2_min,
-            "H_max": self.H_max,
-            "wall_ms": self.wall_ms,
-        }
+        """The step's row of the solve report: every field but the last."""
+        return asdict(self, dict_factory=lambda items: dict(items[:-1]))
 
 
 @dataclass
@@ -399,8 +374,9 @@ class SolveReport:
 
 def monitors(spec, geom):
     """A priori bounds on the surface `geom`: rho range against the barrier
-    shells (C0), min <X, nu> (C1), min sigma_1 and sigma_2 (C2) and max H
-    = sigma_1.  Returns these values, keyed as in the solve report, and one
+    shells (C0), min <X, nu> (C1), min sigma_1 and sigma_2 (C2) and H_max,
+    the max of sigma_1 = kappa_1 + kappa_2 (the unnormalised mean
+    curvature).  Returns these values, keyed as in the solve report, and one
     message per violated barrier, support or sigma_1 condition."""
     values = {
         "rho_min": float(geom.rho.min()),

@@ -76,14 +76,11 @@ class ProblemSpec:
             raise ValueError("need 0 < r1 < r2 < inf")
         if not 0 < self.newton_tol < math.inf:
             raise ValueError("newton_tol must be positive and finite")
-        alphas = tuple(
-            parse(a) if isinstance(a, str) else a for a in self.alphas
-        )
-        if len(alphas) != 2:
-            raise ValueError(f"need 2 coefficient expressions, got {len(alphas)}")
-        object.__setattr__(self, "alphas", alphas)
+        self.alphas = tuple(parse(a) if isinstance(a, str) else a for a in self.alphas)
+        if len(self.alphas) != 2:
+            raise ValueError(f"need 2 coefficient expressions, got {len(self.alphas)}")
         if isinstance(self.phi, str):
-            object.__setattr__(self, "phi", parse(self.phi))
+            self.phi = parse(self.phi)
 
 
 def alpha_blend(spec, env, t):
@@ -233,6 +230,13 @@ def jacobian(spec, rho, t):
     return Linearization(grid, partials)
 
 
+def _check_alpha0(alpha0):
+    """Refuse an alpha_0 the operator checks cannot judge: the theory takes
+    it nonnegative, and an infinite or NaN one gives no value of G."""
+    if not 0.0 <= alpha0 < math.inf:
+        raise ValueError(f"alpha_0 must be nonnegative and finite, got {alpha0}")
+
+
 def ellipticity_check(lam, alpha0):
     """Ellipticity of G = (sigma_2 - alpha_0)/sigma_1 at a principal-curvature
     pair lam in Gamma_1: dG/d lam_i = (lam_j^2 + alpha_0)/sigma_1^2, with j
@@ -242,8 +246,7 @@ def ellipticity_check(lam, alpha0):
         raise ValueError(f"need a pair of principal curvatures, got shape {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise ValueError("principal curvatures must be finite")
-    if not alpha0 >= 0.0:
-        raise ValueError("alpha_0 must be nonnegative")
+    _check_alpha0(alpha0)
     sigma1 = lam[0] + lam[1]
     if not sigma1 > 0.0:
         raise ValueError("principal curvatures must lie in Gamma_1 (sigma_1 > 0)")
@@ -264,9 +267,12 @@ def concavity_check(mat_a, mat_b, alpha0):
     matrices: G((A+B)/2) >= (G(A)+G(B))/2 up to a 1e-10 slack."""
     mat_a = np.asarray(mat_a, dtype=float)
     mat_b = np.asarray(mat_b, dtype=float)
+    _check_alpha0(alpha0)
     for mat in (mat_a, mat_b):
         if mat.shape != (2, 2):
             raise ValueError("matrices must be 2x2")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix entries must be finite")
         if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * max(1.0, np.abs(mat).max()):
             raise ValueError("matrices must be symmetric")
     value_a = _g_of_matrix(mat_a, alpha0)

@@ -113,8 +113,8 @@ class ExprEvalError(ArithmeticError):
 class EvalEnv:
     """Sample point(s) for evaluation: radius and ambient coordinates.
 
-    Fields may be scalars or equal-shaped numpy arrays.  The coordinates
-    must satisfy x1^2 + x2^2 + x3^2 = rho^2 to 1e-12 relative.
+    Fields may be scalars or numpy arrays that broadcast together.  The
+    coordinates must satisfy x1^2 + x2^2 + x3^2 = rho^2 to 1e-12 relative.
     """
 
     rho: object

@@ -22,6 +22,7 @@ rho and its jets, sigma_1, sigma_2 and the support function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,12 @@ MIN_NPHI, MAX_NPHI = 8, 1024
 class SphereGrid:
     """Staggered equiangular grid: theta_i = (i+1/2)*pi/ntheta,
     phi_j = j*2*pi/nphi.  nphi must be even so the antipodal meridian
-    phi + pi lands on a grid column."""
+    phi + pi lands on a grid column.  The sizes must be integers; a float
+    is refused (TypeError), not truncated."""
 
     def __init__(self, ntheta, nphi):
-        ntheta = int(ntheta)
-        nphi = int(nphi)
+        ntheta = operator.index(ntheta)
+        nphi = operator.index(nphi)
         if not MIN_NTHETA <= ntheta <= MAX_NTHETA:
             raise ValueError(f"ntheta={ntheta} outside [{MIN_NTHETA}, {MAX_NTHETA}]")
         if not MIN_NPHI <= nphi <= MAX_NPHI:
@@ -129,7 +131,7 @@ class GeometryState:
     grid: SphereGrid
     rho: np.ndarray
     jets: tuple                   # (rho_t, rho_p, rho_tt, rho_tp, rho_pp)
-    sigma1: np.ndarray            # D / det g = tr(g^-1 h), the mean curvature H
+    sigma1: np.ndarray            # D / det g = kappa_1 + kappa_2, the unnormalised mean curvature
     sigma2: np.ndarray            # det h / det g, the Gauss curvature K
     support: np.ndarray           # <X, nu> = rho^2 / sqrt(rho^2 + |D rho|^2)
 

@@ -484,12 +484,12 @@ def test_solve_verify_export_never_read_kappa(tmp_path, capsys, monkeypatch):
 def run_program(cwd, *argv):
     """The Python interpreter in a fresh process, with this package on its
     path, so that what it prints to stderr is seen as a user sees it.  Any
-    numpy RuntimeWarning is an error there, as in the test suite."""
+    warning is an error there, as in the test suite."""
     env = dict(os.environ)
     src = str(Path(weingarten.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", *argv],
+        [sys.executable, "-W", "error", *argv],
         cwd=cwd, env=env, capture_output=True, text=True,
     )
 

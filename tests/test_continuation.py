@@ -195,8 +195,10 @@ def test_hypothesis_report_serializes():
     data = report.as_dict()
     assert data["passed"] is True
     assert set(data["checks"]) == set(report.entries)
-    for item in data["checks"].values():
-        assert "margin" in item and "passed" in item
+    keys = ("passed", "strict", "margin", "location")
+    for name, item in data["checks"].items():
+        boundary = ("boundary_margin",) if name in ("shell_outer", "shell_inner") else ()
+        assert tuple(item) == keys + boundary
     text = report.table()
     assert "shell_outer" in text and "pass" in text
 

@@ -384,6 +384,8 @@ def test_ellipticity_rejects_bad_input():
             ellipticity_check(np.array([1.0, bad]), 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         ellipticity_check(np.array([1.0, 1.0]), -0.1)
+    with pytest.raises(ValueError, match="finite"):
+        ellipticity_check(np.array([1.0, 1.0]), np.inf)
 
 
 def gamma1_pairs(rng, count):
@@ -438,6 +440,13 @@ def test_concavity_rejects_bad_input():
             concavity_check(np.eye(2), outside, 0.0)
         with pytest.raises(ValueError, match="Gamma_1"):
             concavity_check(outside, np.eye(2), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        concavity_check(np.diag([np.inf, 1.0]), np.eye(2), 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        concavity_check(np.eye(2), np.eye(2), -1.0)
+    for not_finite in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            concavity_check(np.eye(2), np.eye(2), not_finite)
 
 
 def test_concavity_small_example():

@@ -41,6 +41,13 @@ def test_grid_bounds():
         SphereGrid(8, 15)  # odd nphi has no antipodal column
 
 
+def test_grid_sizes_must_be_integers():
+    for ntheta, nphi in ((32.9, 64.7), (32.0, 64), (32, 64.0), ("32", 64)):
+        with pytest.raises(TypeError):
+            SphereGrid(ntheta, nphi)
+    assert SphereGrid(np.int64(8), np.int32(16)).shape == (8, 16)
+
+
 def test_check_field_shape():
     grid = SphereGrid(8, 16)
     with pytest.raises(ValueError):
