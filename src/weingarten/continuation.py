@@ -260,11 +260,13 @@ def initial_solution(spec):
 
 @dataclass
 class NewtonResult:
-    """Outcome of one corrector solve; `linear_iters` counts GMRES steps."""
+    """Outcome of one corrector solve: residual max-norms before and after each
+    step, max-norms of the steps taken; `linear_iters` counts GMRES steps."""
 
     rho: np.ndarray
     iterations: int
     residual_norms: list
+    step_norms: list
     converged: bool
     linear_iters: int
 
@@ -283,6 +285,7 @@ def newton_solve(spec, rho0, t):
     rho = spec.grid.check_field(rho0).copy()
     res = residual_field(spec, rho, t)
     norms = [float(np.abs(res).max())]
+    step_norms = []
     linear_iters = 0
 
     while norms[-1] > spec.newton_tol and len(norms) <= NEWTON_MAX_ITER:
@@ -311,11 +314,13 @@ def newton_solve(spec, rho0, t):
                 f"no admissible iterate along the Newton direction (t={t:.4f})"
             )
 
+        step_norms.append(float(np.abs(trial - rho).max()))
         rho = trial
         res = trial_res
         norms.append(float(np.abs(res).max()))
 
-    return NewtonResult(rho, len(norms) - 1, norms, norms[-1] <= spec.newton_tol, linear_iters)
+    converged = norms[-1] <= spec.newton_tol
+    return NewtonResult(rho, len(norms) - 1, norms, step_norms, converged, linear_iters)
 
 
 @dataclass
@@ -327,6 +332,7 @@ class SolveStep:
     linear_iters: int
     residual_inf: float
     newton_residual_norms: list
+    newton_step_norms: list
     rho_min: float
     rho_max: float
     support_min: float
@@ -409,6 +415,7 @@ def _record_step(spec, rho, t, newton, wall_ms):
         wall_ms=wall_ms,
         monitor_warnings=violations,
         newton_residual_norms=list(newton.residual_norms),
+        newton_step_norms=list(newton.step_norms),
         **values,
     )
 

@@ -240,7 +240,8 @@ def _check_alpha0(alpha0):
 def ellipticity_check(lam, alpha0):
     """Ellipticity of G = (sigma_2 - alpha_0)/sigma_1 at a principal-curvature
     pair lam in Gamma_1: dG/d lam_i = (lam_j^2 + alpha_0)/sigma_1^2, with j
-    the other index.  Returns (both positive, their minimum, their sum)."""
+    the other index, formed scale-free lest sigma_1^2 overflow or underflow.
+    Returns (both positive, their minimum, their sum)."""
     lam = np.asarray(lam, dtype=float)
     if lam.shape != (2,):
         raise ValueError(f"need a pair of principal curvatures, got shape {lam.shape}")
@@ -250,16 +251,18 @@ def ellipticity_check(lam, alpha0):
     sigma1 = lam[0] + lam[1]
     if not sigma1 > 0.0:
         raise ValueError("principal curvatures must lie in Gamma_1 (sigma_1 > 0)")
-    g_ii = (lam[::-1] ** 2 + alpha0) / sigma1**2
+    g_ii = (lam[::-1] / sigma1) ** 2 + alpha0 / sigma1 / sigma1
     return bool(np.all(g_ii > 0.0)), float(g_ii.min()), float(g_ii.sum())
 
 
 def _g_of_matrix(mat, alpha0):
-    """G(M) = (det M - alpha_0)/tr M, for M with eigenvalues in Gamma_1."""
+    """G(M) = (det M - alpha_0)/tr M = tr M det(M/tr M) - alpha_0/tr M, for M
+    with eigenvalues in Gamma_1; the second form keeps det M from overflowing."""
     trace = mat[0, 0] + mat[1, 1]
     if not trace > 0.0:
         raise ValueError("matrix eigenvalues must lie in Gamma_1 (tr M > 0)")
-    return (mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0] - alpha0) / trace
+    unit = mat / trace
+    return trace * (unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]) - alpha0 / trace
 
 
 def concavity_check(mat_a, mat_b, alpha0):

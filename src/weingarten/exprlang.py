@@ -8,13 +8,16 @@ cos, abs, min, max.  Evaluation is plain IEEE double arithmetic and works
 elementwise on numpy arrays, so a whole grid of sample points is one
 evaluation.
 
-The operations are two tables, `OPERATORS` and `FUNCTIONS`, of
-(operation, domain guard, slope rule) rows that the parser, `evaluate`
-and `ray_slope` read; `ray_slope` carries each node's derivative along
-the ray beside its value, exact up to rounding, with no step.  Each
-evaluation runs under one numpy floating-point context that warns of
-nothing; every operator and function node is checked instead, so an
-overflow or a domain fault is an `ExprEvalError` at the node's offset.
+The operations are (operation, domain guard, slope rule) rows of one
+table, `ROWS`: the binary operators of `OPERATORS`, the functions of
+`FUNCTIONS` and unary minus, "neg".  Every interior node of the AST is a
+`Call` of one row to its arguments (`-a*b` is `Call("neg", (Call("*",
+(a, b)),))`), and `evaluate` and `ray_slope` read each node's row;
+`ray_slope` carries each node's derivative along the ray beside its
+value, exact up to rounding, with no step.  Each evaluation runs under
+one numpy floating-point context that warns of nothing; every `Call` is
+checked instead, so an overflow or a domain fault is an `ExprEvalError`
+at the node's offset.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ __all__ = [
     "EvalEnv",
     "Const",
     "Var",
-    "Unary",
-    "Binary",
     "Call",
     "parse",
     "evaluate",
@@ -81,6 +82,9 @@ OPERATORS = {
     ), lambda out, a, b, da, db: _chain(da * b, np.power(a, b - 1.0))
         + (_chain(db, out * np.log(a)) if np.any(db) else 0.0)),
 }
+#: every row a `Call` node may name; unary minus has no text of its own, so
+#: `neg(rho)` is an unknown function
+ROWS = {**OPERATORS, **FUNCTIONS, "neg": (operator.neg, None, lambda out, a, da: -da)}
 
 #: relative tolerance for the coordinate/radius consistency check
 ENV_CONSISTENCY_RTOL = 1e-12
@@ -149,21 +153,6 @@ class Var:
 
 
 @dataclass(frozen=True)
-class Unary:
-    op: str
-    operand: object
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    left: object
-    right: object
-    pos: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True)
 class Call:
     func: str
     args: tuple
@@ -191,9 +180,7 @@ def _tokenize(text):
             if not stripped:
                 break
             bad = len(text) - len(stripped)
-            raise ExprSyntaxError(
-                f"unexpected character {text[bad]!r}", _byte_offset(text, bad)
-            )
+            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", _byte_offset(text, bad))
         pos = _byte_offset(text, m.start(m.lastgroup))
         tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
         i = m.end()
@@ -203,7 +190,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
 
@@ -229,21 +215,21 @@ class _Parser:
         node = self.product()
         while self.peek()[1] in ("+", "-"):
             tok = self.take()
-            node = Binary(tok[1], node, self.product(), pos=tok[2])
+            node = Call(tok[1], (node, self.product()), pos=tok[2])
         return node
 
     def product(self):
         node = self.unary()
         while self.peek()[1] in ("*", "/"):
             tok = self.take()
-            node = Binary(tok[1], node, self.unary(), pos=tok[2])
+            node = Call(tok[1], (node, self.unary()), pos=tok[2])
         return node
 
     def unary(self):
         tok = self.peek()
         if tok[1] == "-":
             self.take()
-            return Unary("-", self.unary(), pos=tok[2])
+            return Call("neg", (self.unary(),), pos=tok[2])
         return self.power()
 
     def power(self):
@@ -252,7 +238,7 @@ class _Parser:
         if tok[1] == "^":
             self.take()
             # exponent may itself carry a unary minus or another power
-            return Binary("^", base, self.unary(), pos=tok[2])
+            return Call("^", (base, self.unary()), pos=tok[2])
         return base
 
     def atom(self):
@@ -304,7 +290,7 @@ def parse(text):
 def evaluate(node, env, key=None):
     """Evaluate an AST at an EvalEnv, elementwise on array environments,
     under one numpy context that ignores floating-point faults.  Each
-    operator and function node is checked instead: its row's guard
+    `Call` node is checked instead: its row's guard
     (division by zero, a power, log or sqrt outside its domain) and a
     non-finite value raise ExprEvalError with the node's offset and `key`,
     the name of the expression evaluated."""
@@ -328,16 +314,10 @@ def _walk(node, env, key, ray):
         # along the ray rho and x_i = rho d_i move at value/rho, and u stays fixed
         value = getattr(env, node.name)
         return value, ray and (0.0 if node.name == "u" else value / env.rho)
-    if isinstance(node, Unary):
-        value, slope = _walk(node.operand, env, key, ray)
-        return -value, ray and -slope
-    if isinstance(node, Binary):
-        (apply, guard, rule), children = OPERATORS[node.op], (node.left, node.right)
-    elif isinstance(node, Call):
-        (apply, guard, rule), children = FUNCTIONS[node.func], node.args
-    else:
+    if not isinstance(node, Call):
         raise TypeError(f"not an expression node: {node!r}")
-    args, slopes = zip(*(_walk(child, env, key, ray) for child in children))
+    apply, guard, rule = ROWS[node.func]
+    args, slopes = zip(*(_walk(child, env, key, ray) for child in node.args))
     if guard is not None and np.any(guard[1](*args)):
         raise ExprEvalError(guard[0], node.pos, key)
     out = apply(*args)

@@ -1,5 +1,5 @@
-"""Acceptance suite: eight end-to-end criteria, one test each, and a
-refinement test under criterion 7.
+"""Acceptance suite: eight end-to-end criteria, one test each, and two
+refinement tests under criterion 7.
 
 Every test prints a single PASS line on success; pytest -v adds its own
 PASSED/FAILED verdict per criterion.  Budgets are wall-clock seconds on
@@ -268,6 +268,45 @@ def test_c7_nonradial_refinement_order():
     elapsed = time.perf_counter() - begin
     print(f"PASS criterion 7: tilted solutions refine at order {order:.2f} "
           f"in min(rho) over 16x32, 32x64, 64x128 ({elapsed:.2f}s)")
+
+
+# three fixed directions for the 5% tilt of ALPHA0_TILTED, which points it
+# along x3; none is near an axis of the grid
+TILT_DIRECTIONS = [
+    (0.6639146003258036, 0.7470264646718456, 0.034188661192157396),
+    (0.9496340890022226, -0.2692146190387181, 0.1603701527740016),
+    (0.060643083632159096, 0.8004107619073078, -0.5963765828992166),
+]
+
+
+def restrict(grid, rho):
+    """A field on `grid` at the nodes of the grid half as fine: injection
+    in phi, and in theta the cubic midpoint rule (-1, 9, 9, -1)/16 over the
+    antipodal ghost rings of `pad` at the poles."""
+    rings = grid.pad(rho)[:, 1:-1]
+    mid = (9.0 * (rings[1:-2:2] + rings[2:-1:2]) - rings[0:-3:2] - rings[3::2]) / 16.0
+    return mid[:, ::2]
+
+
+def test_c7_pointwise_refinement_order_on_tilted_fields():
+    begin = time.perf_counter()
+    ratios = []
+    for d in TILT_DIRECTIONS:
+        alpha0 = ALPHA0_TILTED.replace("x3", f"({d[0]!r}*x1 + {d[1]!r}*x2 + {d[2]!r}*x3)")
+        fields = []
+        for nt in (16, 32, 64):
+            spec = benchmark_spec(SphereGrid(nt, 2 * nt), alpha0=alpha0)
+            rho, solve_report = continue_to_one(spec)
+            assert solve_report.reached_t1
+            fields.append((spec.grid, rho))
+        # e(h) = max |R rho_h - rho_2h| over the nodes of the coarser grid
+        errors = [np.abs(restrict(*fine) - coarse[1]).max()
+                  for coarse, fine in zip(fields, fields[1:])]
+        ratios.append(errors[0] / errors[1])
+        assert 3.8 <= ratios[-1] <= 4.2
+    elapsed = time.perf_counter() - begin
+    print(f"PASS criterion 7: tilted solutions refine pointwise at error ratios "
+          f"{', '.join(f'{r:.3f}' for r in ratios)} over 16x32, 32x64, 64x128 ({elapsed:.2f}s)")
 
 
 def test_c8_cli_round_trip(tmp_path, capsys):

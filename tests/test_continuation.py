@@ -41,6 +41,7 @@ REPORT_KEYS = (
     "linear_iters",
     "residual_inf",
     "newton_residual_norms",
+    "newton_step_norms",
     "rho_min",
     "rho_max",
     "support_min",
@@ -255,6 +256,8 @@ def test_newton_reports_nonconvergence_without_raising(monkeypatch):
     result = newton_solve(spec, np.full(spec.grid.shape, 3.2), 1.0)
     assert not result.converged
     assert result.iterations == 1
+    # the one step taken, as it moved the field
+    assert result.step_norms == [float(np.abs(result.rho - 3.2).max())]
 
 
 def test_newton_stagnates_without_backtracking(monkeypatch):
@@ -446,6 +449,9 @@ def test_solve_report_serializes():
         norms = row["newton_residual_norms"]
         assert len(norms) == step.newton_iters + 1
         assert norms[-1] == row["residual_inf"]
+        # the max-norm of each step taken, one per Newton step
+        assert len(row["newton_step_norms"]) == step.newton_iters
+        assert all(size > 0.0 for size in row["newton_step_norms"])
     assert report.hypothesis.as_dict()["passed"] is True
 
 
@@ -470,7 +476,7 @@ def test_monitors_name_each_violated_condition():
     assert values["sigma2_min"] == dented_geom.sigma2.min()
 
     # the solve path reports the same messages
-    newton = NewtonResult(outside.rho, 0, [0.0], True, 0)
+    newton = NewtonResult(outside.rho, 0, [0.0], [], True, 0)
     step = _record_step(spec, outside.rho, 1.0, newton, 0.0)
     assert step.monitor_warnings == monitors(spec, outside)[1]
     assert step.in_gamma_k and step.rho_min == 4.4

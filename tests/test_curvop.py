@@ -351,6 +351,12 @@ def test_ellipticity_at_umbilic_point():
     assert total == 0.5
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_ellipticity_at_a_huge_or_tiny_umbilic(scale):
+    # sigma_1^2 would overflow or underflow; the quotients do not
+    assert ellipticity_check(np.array([scale, scale]), 0.0) == (True, 0.25, 0.5)
+
+
 def test_ellipticity_scale_invariance():
     # with no lower-order terms the linearization is homogeneous of
     # degree zero, and doubling is exact in binary arithmetic
@@ -454,6 +460,11 @@ def test_concavity_small_example():
     B = np.diag([2.0, 1.0])
     # G(midpoint) = 3/3.5 exceeds the average (3/4 + 2/3)/2
     assert concavity_check(A, B, 0.0)
+
+
+def test_concavity_with_a_huge_matrix():
+    # det M would overflow; G(A) = 5e199, G(I) = 1/2 and G((A+I)/2) = 2.5e199
+    assert concavity_check(np.diag([1e200, 1e200]), np.eye(2), 0.0)
 
 
 def test_concavity_rejects_asymmetric_input():

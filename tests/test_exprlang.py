@@ -1,6 +1,6 @@
 """Coefficient expression language: parsing, evaluation, every row of
-the operator and function tables with their slope rules, error reporting
-with byte offsets, and the evaluation environment."""
+the operation table with its slope rule, error reporting with byte
+offsets, and the evaluation environment."""
 
 import warnings
 
@@ -10,21 +10,18 @@ import pytest
 from weingarten.exprlang import (
     FUNCTIONS,
     OPERATORS,
-    Binary,
+    ROWS,
     Call,
     Const,
     EvalEnv,
     ExprEvalError,
     ExprNameError,
     ExprSyntaxError,
-    Unary,
     Var,
     evaluate,
     parse,
     ray_slope,
 )
-
-ROWS = {**OPERATORS, **FUNCTIONS}
 
 
 def env_at(rho, x3=None):
@@ -117,6 +114,10 @@ def test_name_errors():
     assert exc.value.offset == 6
     with pytest.raises(ExprNameError):
         parse("sinh(rho)")
+    # unary minus is a row but not a function name
+    with pytest.raises(ExprNameError) as exc:
+        parse("neg(rho)")
+    assert str(exc.value) == "unknown function 'neg' (byte offset 0)"
 
 
 def test_eval_errors():
@@ -136,7 +137,8 @@ def test_eval_errors():
 def test_each_function_takes_its_ufunc_arity(name):
     arity = FUNCTIONS[name][0].nin
     args = ", ".join(["rho"] * arity)
-    assert parse(f"1 + {name}({args})") == Binary("+", Const(1.0), Call(name, (Var("rho"),) * arity))
+    want = Call("+", (Const(1.0), Call(name, (Var("rho"),) * arity)))
+    assert parse(f"1 + {name}({args})") == want
     wrong = [arity + 1] + ([arity - 1] if arity > 1 else [])
     for count in wrong:
         with pytest.raises(ExprSyntaxError) as exc:
@@ -149,7 +151,7 @@ def test_each_function_takes_its_ufunc_arity(name):
 @pytest.mark.parametrize("symbol", sorted(OPERATORS))
 def test_each_operator_parses_and_applies_its_row(symbol):
     node = parse(f"rho {symbol} 3")
-    assert node == Binary(symbol, Var("rho"), Const(3.0))
+    assert node == Call(symbol, (Var("rho"), Const(3.0)))
     rho = np.array([1.0, 2.0, 4.0])
     assert np.array_equal(evaluate(node, env_at(rho)), OPERATORS[symbol][0](rho, 3.0))
 
@@ -195,9 +197,9 @@ def test_eval_errors_name_the_key_at_any_depth(text):
 
 def test_ast_shape():
     node = parse("0.25/rho")
-    assert node == Binary("/", Const(0.25), Var("rho"))
+    assert node == Call("/", (Const(0.25), Var("rho")))
     node = parse("-rho^2")
-    assert node == Unary("-", Binary("^", Var("rho"), Const(2.0)))
+    assert node == Call("neg", (Call("^", (Var("rho"), Const(2.0))),))
     node = parse("min(rho, 2)")
     assert node == Call("min", (Var("rho"), Const(2.0)))
 
@@ -227,7 +229,9 @@ SLOPE_ARGS = {"A": "(1.5 + 0.3*x1 - 0.2*u) * rho", "B": "0.6 + 0.05*x2 - 0.05*rh
 
 @pytest.mark.parametrize("name", sorted(ROWS))
 def test_each_row_has_a_slope_rule_matching_a_difference(name):
-    if name in OPERATORS:
+    if name == "neg":
+        text = "-(A)"
+    elif name in OPERATORS:
         text = f"(A) {name} (B)"
     else:
         text = f"{name}({', '.join('AB'[:FUNCTIONS[name][0].nin])})"
