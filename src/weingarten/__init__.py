@@ -3,11 +3,10 @@
 The package computes closed star-shaped surfaces whose principal
 curvatures satisfy a prescribed relation between elementary symmetric
 functions, by a homotopy from a round-sphere problem driven with damped
-Newton steps.  Modules: symmfunc (symmetric-function algebra), exprlang
-(coefficient expressions), spheregeom (radial-graph geometry), curvop
-(operator, residual, Jacobian), linsolve (preconditioned GMRES for the
-Newton steps), continuation (certification and homotopy driving),
-config/export/cli (runs and files).
+Newton steps.  Modules: exprlang (coefficient expressions), spheregeom
+(radial-graph geometry), curvop (operator, residual, Jacobian), linsolve
+(preconditioned GMRES for the Newton steps), continuation (certification
+and homotopy driving), config/export/cli (runs and files).
 """
 
 from .config import ConfigError, RunConfig, load_config
@@ -54,15 +53,5 @@ from .export import (
     write_solve_report,
 )
 from .spheregeom import GeometryState, SphereGrid, geometry
-from .symmfunc import (
-    SingularQuotientError,
-    in_gamma_cone,
-    newton_maclaurin_holds,
-    quotient_monotone_holds,
-    sigma,
-    sigma_all,
-    sigma_gradient,
-    sigma_quotient,
-)
 
 __version__ = "0.1.0"

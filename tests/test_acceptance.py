@@ -1,4 +1,4 @@
-"""Acceptance suite: eight end-to-end criteria, one test each, and two
+"""Acceptance suite: eight end-to-end criteria, one test each, and three
 refinement tests under criterion 7.
 
 Every test prints a single PASS line on success; pytest -v adds its own
@@ -21,12 +21,8 @@ from weingarten.curvop import (
     residual_field,
 )
 from weingarten.spheregeom import SphereGrid, geometry
-from weingarten.symmfunc import (
-    in_gamma_cone,
-    newton_maclaurin_holds,
-    sigma,
-    sigma_all,
-)
+
+from symmfunc_reference import in_gamma_cone, newton_maclaurin_holds, sigma_all
 
 ALPHA0 = "(0.6 - 0.05*rho)/rho^2"
 ALPHA0_TILTED = "(0.6 - 0.05*rho)*(1 + 0.05*x3/rho)/rho^2"
@@ -306,6 +302,50 @@ def test_c7_pointwise_refinement_order_on_tilted_fields():
         assert 3.8 <= ratios[-1] <= 4.2
     elapsed = time.perf_counter() - begin
     print(f"PASS criterion 7: tilted solutions refine pointwise at error ratios "
+          f"{', '.join(f'{r:.3f}' for r in ratios)} over 16x32, 32x64, 64x128 ({elapsed:.2f}s)")
+
+
+def manufactured_alpha0(radius, eps, c, b, d):
+    """alpha0 text for which, with alpha1 = c/rho, the t = 1 equation is
+    solved exactly by the rotated surface of revolution r*(u) = R(1 + eps u),
+    u = d.x/rho.
+
+    Its principal curvatures are closed forms (do Carmo, 1976, 3-3):
+    kappa_m = (r^2 + 2 r'^2 - r r'')/W^3 and kappa_p = R(1 + 2 eps u)/(r W),
+    W = sqrt(r^2 + r'^2), r'^2 = R^2 eps^2 (1 - u^2), r r'' = -R^2 eps u (1 + eps u).
+    alpha0 = (A(u) - B rho)/rho^2 with A = r^2 kappa_m kappa_p - c r (kappa_m +
+    kappa_p) + B r at r = r*(u), so sigma_2 = alpha0 + alpha1 sigma_1 on r*;
+    B only shapes alpha0 off the surface, for the shell inequalities.  Every
+    factor is parenthesised, as `^` binds tighter than `/`."""
+    u = f"(({d[0]!r}*x1 + {d[1]!r}*x2 + {d[2]!r}*x3)/rho)"
+    r = f"({radius!r}*(1 + {eps!r}*{u}))"
+    dr2 = f"({radius**2 * eps**2!r}*(1 - {u}^2))"
+    r_ddr = f"(-{radius**2 * eps!r}*{u}*(1 + {eps!r}*{u}))"
+    w = f"(sqrt({r}^2 + {dr2}))"
+    k_m = f"(({r}^2 + 2*{dr2} - {r_ddr})/{w}^3)"
+    k_p = f"({radius!r}*(1 + 2*{eps!r}*{u})/({r}*{w}))"
+    a = f"{r}^2*{k_m}*{k_p} - {c!r}*{r}*({k_m} + {k_p}) + {b!r}*{r}"
+    return f"({a} - {b!r}*rho)/rho^2"
+
+
+def test_c7_manufactured_surface_refines_to_the_exact_radius():
+    begin = time.perf_counter()
+    radius, eps, d = 2.0, 0.05, TILT_DIRECTIONS[0]
+    alpha0 = manufactured_alpha0(radius, eps, c=0.25, b=0.15, d=d)
+    assert check_hypotheses(benchmark_spec(SphereGrid(16, 32), alpha0=alpha0)).passed
+    errors = []
+    for nt in (16, 32, 64):
+        spec = benchmark_spec(SphereGrid(nt, 2 * nt), alpha0=alpha0)
+        rho, solve_report = continue_to_one(spec)
+        assert solve_report.reached_t1
+        x1, x2, x3 = spec.grid.directions()
+        exact = radius * (1.0 + eps * (d[0] * x1 + d[1] * x2 + d[2] * x3))
+        errors.append(float(np.abs(rho - exact).max()))
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.8 <= ratio <= 4.2 for ratio in ratios)
+    elapsed = time.perf_counter() - begin
+    print(f"PASS criterion 7: a manufactured surface refines to its exact radius, "
+          f"max|rho_h - r*| = {', '.join(f'{e:.3e}' for e in errors)}, ratios "
           f"{', '.join(f'{r:.3f}' for r in ratios)} over 16x32, 32x64, 64x128 ({elapsed:.2f}s)")
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weingarten import curvop, spheregeom, symmfunc
+from weingarten import curvop, spheregeom
 from weingarten.continuation import MAX_BACKTRACKS, NEWTON_MAX_ITER, T_STEP_MIN
 from weingarten.curvop import (
     AdmissibilityError,
@@ -21,6 +21,8 @@ from weingarten.curvop import (
 )
 from weingarten.exprlang import EvalEnv
 from weingarten.spheregeom import SphereGrid, geometry, local_geometry
+
+import symmfunc_reference as symmfunc
 
 ALPHA0 = "(0.6 - 0.05*rho)/rho^2"
 ALPHA1 = "0.25/rho"

