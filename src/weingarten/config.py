@@ -48,8 +48,13 @@ def _get(section, key, cast, default=None):
         if default is None:
             raise ConfigError(f"missing key {key!r} in [{section.name}]")
         return default
+    text = section[key]
     try:
-        return cast(section[key])
+        # float and int also read "1_0" and non-ASCII digits; a config
+        # number, like an expression's, is plain ASCII
+        if "_" in text or not text.isascii():
+            raise ValueError(f"{text!r} is not written in ASCII without '_'")
+        return cast(text)
     except ValueError as err:
         raise ConfigError(f"bad value for {key!r} in [{section.name}]: {err}") from err
 
@@ -108,11 +113,9 @@ def load_config(path):
         except ExprSyntaxError as err:
             raise ConfigError(f"bad expression for {key!r}: {err}") from err
 
+    shape = _get(grid_sec, "ntheta", int, default=32), _get(grid_sec, "nphi", int, default=64)
     try:
-        grid = SphereGrid(
-            _get(grid_sec, "ntheta", int, default=32),
-            _get(grid_sec, "nphi", int, default=64),
-        )
+        grid = SphereGrid(*shape)
     except ValueError as err:
         raise ConfigError(f"bad grid: {err}") from err
 

@@ -2,17 +2,20 @@
 
 Expressions are built from the variables rho, x1, x2, x3 and u = x3/rho,
 float literals (one too large for a double is a syntax error), the
-operators + - * / ^ (with ^ binding tightest and right-associative, then
-unary minus, then * /, then + -), and the functions exp, log, sqrt, sin,
-cos, abs, min, max.  Evaluation is plain IEEE double arithmetic and works
+operators + - * / ^ and the functions exp, log, sqrt, sin, cos, abs, min,
+max.  One table of binding powers, `BINDING`, gives the precedence: ^
+binds tightest and associates to the right, then unary minus, then * /,
+then + -.  `parse` reads it by precedence climbing (Pratt, 1973) and
+refuses a tree deeper than `MAX_DEPTH` levels, a pair of parentheses
+counting as one.  Evaluation is plain IEEE double arithmetic and works
 elementwise on numpy arrays, so a whole grid of sample points is one
 evaluation.
 
 The operations are (operation, domain guard, slope rule) rows of one
 table, `ROWS`: the binary operators of `OPERATORS`, the functions of
 `FUNCTIONS` and unary minus, "neg".  Every interior node of the AST is a
-`Call` of one row to its arguments (`-a*b` is `Call("neg", (Call("*",
-(a, b)),))`), and `evaluate` and `ray_slope` read each node's row;
+`Call` of one row to its arguments (`-a*b` is `Call("*", (Call("neg",
+(a,)), b))`), and `evaluate` and `ray_slope` read each node's row;
 `ray_slope` carries each node's derivative along the ray beside its
 value, exact up to rounding, with no step.  Each evaluation runs under
 one numpy floating-point context that warns of nothing; every `Call` is
@@ -85,6 +88,17 @@ OPERATORS = {
 #: every row a `Call` node may name; unary minus has no text of its own, so
 #: `neg(rho)` is an unknown function
 ROWS = {**OPERATORS, **FUNCTIONS, "neg": (operator.neg, None, lambda out, a, da: -da)}
+
+#: (left, right) binding power of each operator: a binary operator extends an
+#: expression whose minimum power is at most its left one, and its right
+#: operand takes only operators whose left power is at least its right one,
+#: so + - * / (left below right) associate to the left and ^ to the right;
+#: unary minus, "neg", only starts an operand, so it extends nothing
+BINDING = {"+": (1, 2), "-": (1, 2), "*": (3, 4), "/": (3, 4), "neg": (-1, 5), "^": (6, 5)}
+#: deepest expression `parse` accepts: the height of its tree, a pair of
+#: parentheses counting as a level, so that parsing and evaluation, which
+#: recurse once a level, stay far inside Python's recursion limit
+MAX_DEPTH = 200
 
 #: relative tolerance for the coordinate/radius consistency check
 ENV_CONSISTENCY_RTOL = 1e-12
@@ -162,129 +176,92 @@ class Call:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])"
+    r"|(?P<bad>\S))"
 )
 
 
-def _byte_offset(text, index):
-    return len(text[:index].encode("utf-8"))
-
-
 def _tokenize(text):
+    """(kind, text, byte offset) of each token, then an "end" token; a
+    character that starts no token is an ExprSyntaxError."""
     tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None or m.end() == i:
-            stripped = text[i:].lstrip()
-            if not stripped:
-                break
-            bad = len(text) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {text[bad]!r}", _byte_offset(text, bad))
-        pos = _byte_offset(text, m.start(m.lastgroup))
-        tokens.append((m.lastgroup, m.group(m.lastgroup), pos))
-        i = m.end()
-    tokens.append(("end", "", _byte_offset(text, len(text))))
+    offset = 0  # UTF-8 bytes before the current match
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        offset += len(text[m.start():m.start(kind)].encode("utf-8"))
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m[kind]!r}", offset)
+        tokens.append((kind, m[kind], offset))
+        offset += len(m[kind])  # the other tokens are ASCII
+    tokens.append(("end", "", len(text.encode("utf-8"))))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.index = 0
-
-    def peek(self):
-        return self.tokens[self.index]
-
-    def take(self):
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def fail(self, message, tok):
-        raise ExprSyntaxError(message, tok[2])
-
-    def parse(self):
-        node = self.sum_expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            self.fail(f"unexpected token {tok[1]!r}", tok)
-        return node
-
-    def sum_expr(self):
-        node = self.product()
-        while self.peek()[1] in ("+", "-"):
-            tok = self.take()
-            node = Call(tok[1], (node, self.product()), pos=tok[2])
-        return node
-
-    def product(self):
-        node = self.unary()
-        while self.peek()[1] in ("*", "/"):
-            tok = self.take()
-            node = Call(tok[1], (node, self.unary()), pos=tok[2])
-        return node
-
-    def unary(self):
-        tok = self.peek()
-        if tok[1] == "-":
-            self.take()
-            return Call("neg", (self.unary(),), pos=tok[2])
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        tok = self.peek()
-        if tok[1] == "^":
-            self.take()
-            # exponent may itself carry a unary minus or another power
-            return Call("^", (base, self.unary()), pos=tok[2])
-        return base
-
-    def atom(self):
-        tok = self.take()
-        kind, value, pos = tok
-        if kind == "num":
-            if np.isinf(float(value)):
-                raise ExprSyntaxError(f"number {value!r} is too large for a double", pos)
-            return Const(float(value), pos=pos)
-        if kind == "name":
-            if self.peek()[1] == "(":
-                if value not in FUNCTIONS:
-                    raise ExprNameError(f"unknown function {value!r}", pos)
-                self.take()
-                args = [self.sum_expr()]
-                while self.peek()[1] == ",":
-                    self.take()
-                    args.append(self.sum_expr())
-                closing = self.take()
-                if closing[1] != ")":
-                    self.fail("expected ')'", closing)
-                arity = FUNCTIONS[value][0].nin
-                if len(args) != arity:
-                    raise ExprSyntaxError(
-                        f"function {value!r} expects {arity} argument(s), got {len(args)}", pos
-                    )
-                return Call(value, tuple(args), pos=pos)
-            if value not in VARIABLES:
-                raise ExprNameError(f"unknown variable {value!r}", pos)
-            return Var(value, pos=pos)
-        if value == "(":
-            node = self.sum_expr()
-            closing = self.take()
-            if closing[1] != ")":
-                self.fail("expected ')'", closing)
-            return node
-        self.fail(f"expected a value, got {value!r}" if value else "unexpected end of expression", tok)
+def _expr(tokens, min_bp, depth):
+    """(node, height) of the longest expression at the end of `tokens`, a
+    reversed token list that it pops, whose binary operators have left
+    binding powers of at least `min_bp`; `depth` counts the calls that
+    enclose this one, and depth + height may not exceed MAX_DEPTH."""
+    kind, value, pos = tokens.pop()
+    if depth > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    if value == "-":
+        node, height = _expr(tokens, BINDING["neg"][1], depth + 1)
+        node, height = Call("neg", (node,), pos=pos), height + 1
+    elif kind == "num":
+        if np.isinf(float(value)):
+            raise ExprSyntaxError(f"number {value!r} is too large for a double", pos)
+        node, height = Const(float(value), pos=pos), 0
+    elif kind == "name" and tokens[-1][1] == "(":
+        if value not in FUNCTIONS:
+            raise ExprNameError(f"unknown function {value!r}", pos)
+        args = []
+        while not args or tokens[-1][1] == ",":
+            tokens.pop()  # the "(" or a ","
+            args.append(_expr(tokens, 0, depth + 1))
+        closing = tokens.pop()
+        if closing[1] != ")":
+            raise ExprSyntaxError("expected ')'", closing[2])
+        arity = FUNCTIONS[value][0].nin
+        if len(args) != arity:
+            raise ExprSyntaxError(
+                f"function {value!r} expects {arity} argument(s), got {len(args)}", pos
+            )
+        nodes, heights = zip(*args)
+        node, height = Call(value, nodes, pos=pos), max(heights) + 1
+    elif kind == "name":
+        if value not in VARIABLES:
+            raise ExprNameError(f"unknown variable {value!r}", pos)
+        node, height = Var(value, pos=pos), 0
+    elif value == "(":
+        node, height = _expr(tokens, 0, depth + 1)
+        closing = tokens.pop()
+        if closing[1] != ")":
+            raise ExprSyntaxError("expected ')'", closing[2])
+    else:
+        raise ExprSyntaxError(
+            f"expected a value, got {value!r}" if value else "unexpected end of expression", pos
+        )
+    while BINDING.get(tokens[-1][1], (-1,))[0] >= min_bp:
+        _, symbol, pos = tokens.pop()
+        right, right_height = _expr(tokens, BINDING[symbol][1], depth + 1)
+        node, height = Call(symbol, (node, right), pos=pos), max(height, right_height) + 1
+        if depth + height > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    return node, height
 
 
 def parse(text):
     """Parse expression text into an AST.  Raises ExprSyntaxError (with a
-    byte offset) on malformed input, a literal too large for a double, or
-    unknown identifiers."""
+    byte offset) on malformed input, a literal too large for a double,
+    nesting deeper than MAX_DEPTH, or unknown identifiers."""
     if not isinstance(text, str) or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(text).parse()
+    tokens = _tokenize(text)[::-1]
+    node, _ = _expr(tokens, 0, 0)
+    if tokens[-1][0] != "end":
+        raise ExprSyntaxError(f"unexpected token {tokens[-1][1]!r}", tokens[-1][2])
+    return node
 
 
 def evaluate(node, env, key=None):

@@ -153,6 +153,38 @@ def test_non_finite_setting_is_bad_input(tmp_path, capsys, command, key):
     assert not (tmp_path / "out").exists()
 
 
+# numbers float or int would read but a config may not hold: digit-group
+# underscores and non-ASCII digits, as in expressions and solution files
+@pytest.mark.parametrize("setting, written, section", [
+    ("r2 = 4.0", "r2 = 4_0.0", "problem"),
+    ("r1 = 1.0", "r1 = \uff11.0", "problem"),
+    ("k = 2", "k = \uff12", "problem"),
+    ("ntheta = 8", "ntheta = \uff18", "grid"),
+    ("nphi = 16", "nphi = 1_6", "grid"),
+])
+def test_config_numbers_are_ascii_without_underscores(tmp_path, capsys, setting, written, section):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(setting, written))
+    key, value = written.split(" = ")
+    assert cli.main(["check", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad value for {key!r} in [{section}]: {value!r} is not written in ASCII without '_'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_coefficient_nested_too_deep_is_bad_input(tmp_path, capsys):
+    # one line and exit 2, not a RecursionError traceback
+    cfg = write_cfg(tmp_path)
+    alpha0 = "+".join(["rho"] * 1200)
+    cfg.write_text(cfg.read_text().replace('"(0.6 - 0.05*rho)/rho^2"', f'"{alpha0}"'))
+    assert cli.main(["check", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad expression for 'alpha0': expression nested deeper than 200 levels (byte offset 803)\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_readme_config_example_loads_with_the_defaults(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]

@@ -9,6 +9,7 @@ import pytest
 
 from weingarten.exprlang import (
     FUNCTIONS,
+    MAX_DEPTH,
     OPERATORS,
     ROWS,
     Call,
@@ -100,6 +101,22 @@ def test_syntax_errors_carry_byte_offsets():
         parse("")
     with pytest.raises(ExprSyntaxError):
         parse("rho @ 2")
+    # the whole text is tokenized first, so a bad character wins over an
+    # earlier syntax error
+    for text, message in [
+        ("rho + ) @", "unexpected character '@' (byte offset 8)"),
+        ("(rho", "expected ')' (byte offset 4)"),
+        ("rho)", "unexpected token ')' (byte offset 3)"),
+        ("sin(rho", "expected ')' (byte offset 7)"),
+        ("min(rho 2)", "expected ')' (byte offset 8)"),
+        ("*2", "expected a value, got '*' (byte offset 0)"),
+        ("rho +", "unexpected end of expression (byte offset 5)"),
+        ("2 3", "unexpected token '3' (byte offset 2)"),
+        ("rho,2", "unexpected token ',' (byte offset 3)"),
+    ]:
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse(text)
+        assert type(exc.value) is ExprSyntaxError and str(exc.value) == message
     # digits are ASCII only, as in the README grammar and the CSV reader
     for text, offset, char in [("\uff12*rho", 0, "\uff12"), ("0.25/\u0663", 5, "\u0663")]:
         with pytest.raises(ExprSyntaxError) as exc:
@@ -207,6 +224,56 @@ def test_ast_shape():
     assert node == Call("neg", (Call("^", (Var("rho"), Const(2.0))),))
     node = parse("min(rho, 2)")
     assert node == Call("min", (Var("rho"), Const(2.0)))
+    # unary minus binds tighter than * but looser than ^
+    node = parse("-rho*x1")
+    assert node == Call("*", (Call("neg", (Var("rho"),)), Var("x1")))
+
+
+@pytest.mark.parametrize("text, want", [
+    ("-rho*x1", Call("*", (Call("neg", (Var("rho", 1),), 0), Var("x1", 5)), 4)),
+    ("2^-3^2", Call("^", (Const(2.0, 0), Call("neg", (Call("^", (Const(3.0, 3), Const(2.0, 5)), 4),), 2)), 1)),
+    ("rho-x1-2", Call("-", (Call("-", (Var("rho", 0), Var("x1", 4)), 3), Const(2.0, 7)), 6)),
+    ("6/3/2", Call("/", (Call("/", (Const(6.0, 0), Const(3.0, 2)), 1), Const(2.0, 4)), 3)),
+    ("3*-2", Call("*", (Const(3.0, 0), Call("neg", (Const(2.0, 3),), 2)), 1)),
+    ("-rho^2", Call("neg", (Call("^", (Var("rho", 1), Const(2.0, 5)), 4),), 0)),
+    ("min(rho, 2)^2", Call("^", (Call("min", (Var("rho", 4), Const(2.0, 9)), 0), Const(2.0, 12)), 11)),
+    ("(rho+1)*2", Call("*", (Call("+", (Var("rho", 1), Const(1.0, 5)), 4), Const(2.0, 8)), 7)),
+])
+def test_node_positions(text, want):
+    # positions do not take part in ==, so compare the reprs, which show them
+    assert repr(parse(text)) == repr(want)
+
+
+# too deep for the bound, with the byte offset of the token that passes it
+TOO_DEEP = {
+    "1200-term sum": ("+".join(["rho"] * 1200), 4 * (MAX_DEPTH + 1) - 1),
+    "400 parentheses": ("(" * 400 + "rho" + ")" * 400, MAX_DEPTH + 1),
+    "1000 minus signs": ("-" * 1000 + "rho", MAX_DEPTH + 1),
+    "one level past the bound": ("(" * 100 + "-" * 100 + "2^2" + ")" * 100, 202),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_DEEP))
+def test_nesting_past_the_bound_is_a_syntax_error(case):
+    text, offset = TOO_DEEP[case]
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(text)
+    assert str(exc.value) == f"expression nested deeper than {MAX_DEPTH} levels (byte offset {offset})"
+
+
+@pytest.mark.parametrize("text, want", [
+    ("+".join(["rho"] * 150), 300.0),
+    ("(" * 150 + "rho" + ")" * 150, 2.0),
+    # at the bound: a tree MAX_DEPTH high, a pair of parentheses counting as a level
+    ("+".join(["rho"] * (MAX_DEPTH + 1)), 2.0 * (MAX_DEPTH + 1)),
+    ("-" * MAX_DEPTH + "rho", 2.0),
+    ("^".join(["1"] * (MAX_DEPTH + 1)), 1.0),
+    ("(" * 100 + "-" * 99 + "2^2" + ")" * 100, -4.0),
+])
+def test_nesting_within_the_bound_parses_and_evaluates(text, want):
+    node = parse(text)
+    assert evaluate(node, env_at(2.0)) == want
+    assert ray_slope(node, env_at(2.0))[0] == want
 
 
 def test_ray_slope():
