@@ -11,14 +11,12 @@ and homotopy driving), config/export/cli (runs and files).
 
 from .config import ConfigError, RunConfig, load_config
 from .continuation import (
-    ConeExitError,
     ContinuationFailure,
     HypothesisError,
     HypothesisReport,
     InitializationError,
     NewtonResult,
     SolveReport,
-    StagnationError,
     check_hypotheses,
     continue_to_one,
     initial_solution,

@@ -6,9 +6,10 @@ profile shape), start from the round sphere the profile singles out, and
 walk the homotopy parameter t from 0 to 1, each step accepted only when a
 Newton iteration converges while staying in the admissible cone.  The
 first step in t tries the whole interval, and the step halves after each
-failed solve.  Every Newton iterate builds its Jacobian and that
-Jacobian's ring-mean FFT preconditioner (`linsolve`, bound here as
-`spla`), and solves by GMRES.
+failed solve, which returns, like every Newton outcome, as a
+`NewtonResult` with its `reason`.  Every Newton iterate builds its
+Jacobian and that Jacobian's ring-mean FFT preconditioner (`linsolve`,
+bound here as `spla`), and solves by GMRES.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ __all__ = [
     "HypothesisReport",
     "HypothesisError",
     "InitializationError",
-    "StagnationError",
-    "ConeExitError",
     "ContinuationFailure",
     "NewtonResult",
     "SolveStep",
@@ -68,26 +67,19 @@ class InitializationError(ValueError):
     """The deformation profile does not single out a starting sphere."""
 
 
-class StagnationError(RuntimeError):
-    """Line search exhausted without a residual decrease."""
-
-
-class ConeExitError(RuntimeError):
-    """No admissible iterate found along the Newton direction."""
-
-
 class ContinuationFailure(RuntimeError):
-    """Homotopy steps shrank below the minimum before reaching t=1;
-    `t_target` is the target of the last attempted solve and `reason` says
-    why it failed."""
+    """Homotopy steps shrank below the minimum before reaching t=1, or the
+    t=0 solve failed; `t_target` is the target of the last attempted solve,
+    `newton` that solve's NewtonResult and `reason` its reason."""
 
-    def __init__(self, t_last, t_target, rho_last, report, reason):
+    def __init__(self, t_last, t_target, rho_last, report, newton):
         super().__init__(f"continuation stalled at t={t_last:.6f}")
         self.t_last = t_last
         self.t_target = t_target
         self.rho_last = rho_last
         self.report = report
-        self.reason = reason
+        self.newton = newton
+        self.reason = newton.reason
 
 
 @dataclass
@@ -260,8 +252,10 @@ def initial_solution(spec):
 
 @dataclass
 class NewtonResult:
-    """Outcome of one corrector solve: residual max-norms before and after each
-    step, max-norms of the steps taken; `linear_iters` counts GMRES steps."""
+    """Outcome of one corrector solve: the last accepted iterate, residual
+    max-norms before and after each step, max-norms of the steps taken;
+    `linear_iters` counts GMRES steps.  `reason` is None on convergence and
+    otherwise says why the solve stopped."""
 
     rho: np.ndarray
     iterations: int
@@ -269,6 +263,7 @@ class NewtonResult:
     step_norms: list
     converged: bool
     linear_iters: int
+    reason: str | None = None
 
 
 def newton_solve(spec, rho0, t):
@@ -278,17 +273,24 @@ def newton_solve(spec, rho0, t):
     preconditioner (`spla.splu`, see `linsolve`), and solves J delta = -F
     by GMRES to the relative forcing `linsolve.GMRES_RTOL`.  The step
     backtracks by halving until the trial iterate is admissible and the
-    residual max-norm strictly decreases, and raises StagnationError or
-    ConeExitError when it cannot.  Stops at the spec's newton_tol or after
-    NEWTON_MAX_ITER steps.
+    residual max-norm strictly decreases.  Stops at the spec's newton_tol,
+    after NEWTON_MAX_ITER steps, or at a step that finds no decrease
+    (stagnation) or no admissible trial (cone exit) in MAX_BACKTRACKS
+    halvings.  Raises nothing of its own: a failed solve returns the last
+    accepted iterate and its norms, with `reason` saying which stop it hit.
     """
     rho = spec.grid.check_field(rho0).copy()
     res = residual_field(spec, rho, t)
     norms = [float(np.abs(res).max())]
     step_norms = []
     linear_iters = 0
+    reason = None
 
-    while norms[-1] > spec.newton_tol and len(norms) <= NEWTON_MAX_ITER:
+    while norms[-1] > spec.newton_tol:
+        if len(norms) > NEWTON_MAX_ITER:
+            reason = (f"not converged after {NEWTON_MAX_ITER} iterations "
+                      f"(t={t:.4f}, |F|={norms[-1]:.3e})")
+            break
         delta, gmres_iters = spla.splu(jacobian(spec, rho, t)).solve(-res)
         linear_iters += gmres_iters
 
@@ -305,22 +307,20 @@ def newton_solve(spec, rho0, t):
             if float(np.abs(trial_res).max()) < norms[-1]:
                 break
         else:
-            if saw_admissible:
-                raise StagnationError(
-                    f"no residual decrease after {MAX_BACKTRACKS} halvings "
-                    f"(t={t:.4f}, |F|={norms[-1]:.3e})"
-                )
-            raise ConeExitError(
-                f"no admissible iterate along the Newton direction (t={t:.4f})"
+            reason = (
+                f"StagnationError: no residual decrease after {MAX_BACKTRACKS} halvings "
+                f"(t={t:.4f}, |F|={norms[-1]:.3e})" if saw_admissible else
+                f"ConeExitError: no admissible iterate along the Newton direction (t={t:.4f})"
             )
+            break
 
         step_norms.append(float(np.abs(trial - rho).max()))
         rho = trial
         res = trial_res
         norms.append(float(np.abs(res).max()))
 
-    converged = norms[-1] <= spec.newton_tol
-    return NewtonResult(rho, len(norms) - 1, norms, step_norms, converged, linear_iters)
+    iterations = len(norms) - 1
+    return NewtonResult(rho, iterations, norms, step_norms, reason is None, linear_iters, reason)
 
 
 @dataclass
@@ -428,8 +428,8 @@ def continue_to_one(spec, callback=None):
     there aborts with ContinuationFailure at once.  From t, the next
     target is t + dt, with dt the whole interval at first, halved after
     each failed solve and never grown again; a step below T_STEP_MIN
-    aborts with ContinuationFailure, whose `reason` is the Newton error or
-    non-convergence of the last failed solve.  Each step is corrected by
+    aborts with ContinuationFailure, which carries the last failed solve's
+    NewtonResult and its `reason`.  Each step is corrected by
     Newton (`newton_solve`) from the field of the last accepted step.
     Returns the final field and a SolveReport with one row per accepted
     step, the t=0 solve included.
@@ -444,20 +444,13 @@ def continue_to_one(spec, callback=None):
     dt = 1.0
     while t < 1.0:
         begin = time.perf_counter()
-        try:
-            newton = newton_solve(spec, rho, target)
-            reason = None if newton.converged else (
-                f"not converged after {newton.iterations} iterations "
-                f"(t={target:.4f}, |F|={newton.residual_norms[-1]:.3e})"
-            )
-        except (StagnationError, ConeExitError) as err:
-            reason = f"{type(err).__name__}: {err}"
+        newton = newton_solve(spec, rho, target)
         wall_ms = 1e3 * (time.perf_counter() - begin)
 
-        if reason is not None:
+        if newton.reason is not None:
             dt *= 0.5
             if not steps or dt < T_STEP_MIN:
-                raise ContinuationFailure(t, target, rho, SolveReport(steps, hypothesis), reason)
+                raise ContinuationFailure(t, target, rho, SolveReport(steps, hypothesis), newton)
         else:
             rho, t = newton.rho, target
             step = _record_step(spec, rho, t, newton, wall_ms)

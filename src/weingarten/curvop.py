@@ -74,6 +74,11 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0 < self.r1 < self.r2 < math.inf:
             raise ValueError("need 0 < r1 < r2 < inf")
+        # the hypothesis check samples [r1/2, 2 r2]; rho^2 there must be a normal double
+        low, high = 0.5 * self.r1, 2.0 * self.r2
+        if not (low * low >= np.finfo(float).tiny and high * high <= np.finfo(float).max):
+            raise ValueError("need r1 >= 3e-154 and r2 <= 6.7e+153, so that rho^2 is a "
+                             "normal double on the check band [r1/2, 2 r2]")
         if not 0 < self.newton_tol < math.inf:
             raise ValueError("newton_tol must be positive and finite")
         self.alphas = tuple(parse(a) if isinstance(a, str) else a for a in self.alphas)

@@ -153,6 +153,33 @@ def test_non_finite_setting_is_bad_input(tmp_path, capsys, command, key):
     assert not (tmp_path / "out").exists()
 
 
+# barrier radii whose check band [r1/2, 2 r2] would hold a rho^2 that is
+# subnormal or overflows
+EXTREME_RADII = [("r2 = 4.0", "r2 = 1e308"), ("r1 = 1.0", "r1 = 1e-160"),
+                 ("r1 = 1.0", "r1 = 1e-200")]
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("setting, written", EXTREME_RADII)
+def test_radius_beyond_the_normal_doubles_is_bad_input(tmp_path, capsys, command, setting, written):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace(setting, written))
+    assert cli.main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        "error: need r1 >= 3e-154 and r2 <= 6.7e+153, so that rho^2 is a normal double "
+        "on the check band [r1/2, 2 r2]\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_radius_limits_named_in_the_error_are_accepted(tmp_path):
+    cfg = write_cfg(tmp_path)
+    text = cfg.read_text().replace("r1 = 1.0", "r1 = 3e-154").replace("r2 = 4.0", "r2 = 6.7e153")
+    cfg.write_text(text)
+    spec = load_config(cfg).problem
+    assert (spec.r1, spec.r2) == (3e-154, 6.7e153)
+
+
 # numbers float or int would read but a config may not hold: digit-group
 # underscores and non-ASCII digits, as in expressions and solution files
 @pytest.mark.parametrize("setting, written, section", [
@@ -318,7 +345,7 @@ def test_solve_stall_after_t0_names_its_target(tmp_path, capsys, monkeypatch):
 
     def stagnating(spec, rho, t):
         if t > 0.0:
-            raise continuation.StagnationError("stubbed")
+            return continuation.NewtonResult(rho, 0, [1.0], [], False, 0, "StagnationError: stubbed")
         return newton_solve(spec, rho, t)
 
     monkeypatch.setattr(continuation, "newton_solve", stagnating)

@@ -14,12 +14,10 @@ import pytest
 import weingarten
 from weingarten import continuation
 from weingarten.continuation import (
-    ConeExitError,
     ContinuationFailure,
     HypothesisError,
     InitializationError,
     NewtonResult,
-    StagnationError,
     _record_step,
     check_hypotheses,
     continue_to_one,
@@ -264,13 +262,31 @@ def test_newton_stagnates_without_backtracking(monkeypatch):
     # from 3.9 the full step overshoots and no halving is allowed
     monkeypatch.setattr(continuation, "MAX_BACKTRACKS", 0)
     spec = benchmark_spec()
-    with pytest.raises(StagnationError):
-        newton_solve(spec, np.full(spec.grid.shape, 3.9), 1.0)
+    result = newton_solve(spec, np.full(spec.grid.shape, 3.9), 1.0)
+    assert result.reason == (
+        "StagnationError: no residual decrease after 0 halvings (t=1.0000, |F|=1.218e-02)"
+    )
+    assert not result.converged
+    # the failed step is not taken: the result is the starting field
+    assert result.iterations == 0
+    assert len(result.residual_norms) == 1 and result.step_norms == []
+    assert np.all(result.rho == 3.9)
+
+
+def test_newton_reports_a_cone_exit():
+    # on the sphere of radius 600 the Newton step for the radius is about
+    # -1.8e5, so even 2^-8 of it leaves every node at a negative radius
+    spec = benchmark_spec()
+    result = newton_solve(spec, np.full(spec.grid.shape, 600.0), 1.0)
+    assert result.reason == (
+        "ConeExitError: no admissible iterate along the Newton direction (t=1.0000)"
+    )
+    assert not result.converged
+    assert result.iterations == 0 and result.step_norms == []
+    assert np.all(result.rho == 600.0)
 
 
 def test_error_types():
-    assert issubclass(ConeExitError, RuntimeError)
-    assert issubclass(StagnationError, RuntimeError)
     assert issubclass(ContinuationFailure, RuntimeError)
 
 
@@ -329,7 +345,7 @@ def test_continuation_halves_after_a_failed_solve_and_never_grows(monkeypatch):
     def short_sighted_newton_solve(spec, rho, t):
         attempted.append(t)
         if t - (accepted[-1] if accepted else 0.0) > 0.3:
-            raise StagnationError("step too long")
+            return NewtonResult(rho, 0, [1.0], [], False, 0, "StagnationError: step too long")
         accepted.append(t)
         return newton_solve(spec, rho, t)
 
@@ -420,11 +436,12 @@ def test_continuation_fails_fast_when_the_t0_solve_fails(monkeypatch):
     # |F| cannot reach 1e-17 at t=0: after one Newton solve the stall is
     # reported at t=0 with the starting sphere, and no step is recorded
     spec = benchmark_spec(grid=SphereGrid(8, 16), newton_tol=1e-17)
-    solves = []
+    solves, results = [], []
 
     def counting_newton_solve(*args, **kwargs):
         solves.append(args[2])
-        return newton_solve(*args, **kwargs)
+        results.append(newton_solve(*args, **kwargs))
+        return results[-1]
 
     monkeypatch.setattr(continuation, "newton_solve", counting_newton_solve)
     seen = []
@@ -434,6 +451,13 @@ def test_continuation_fails_fast_when_the_t0_solve_fails(monkeypatch):
     assert exc.value.t_last == 0.0
     assert np.array_equal(exc.value.rho_last, initial_solution(spec))
     assert exc.value.report.steps == [] and seen == []
+    # the failure carries the failed solve, norms and reason included
+    failed = exc.value.newton
+    assert failed is results[0] and not failed.converged
+    assert failed.residual_norms == results[0].residual_norms
+    assert len(failed.residual_norms) == failed.iterations + 1 > 1
+    assert exc.value.reason == failed.reason
+    assert exc.value.reason.startswith("StagnationError: no residual decrease after 8 halvings")
 
 
 def test_solve_report_serializes():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weingarten.continuation import NewtonResult, check_hypotheses
+from weingarten.continuation import NewtonResult, check_hypotheses, initial_solution, newton_solve
 from weingarten.curvop import ProblemSpec
 from weingarten.spheregeom import SphereGrid
 
@@ -47,6 +47,22 @@ def test_traced_newton_result_fields():
     # the tracer records each Newton solve's `iterations` and `converged`
     names = {field.name for field in dataclasses.fields(NewtonResult)}
     assert {"iterations", "converged"} <= names
+
+
+def test_traced_failed_newton_solve_reports_its_iterations():
+    # |F| cannot reach 1e-17 on the round sphere: the solve stagnates after
+    # some accepted steps and returns, so its span records iterations and
+    # converged like a converged one, not only that it raised
+    spec = ProblemSpec(
+        r1=1.0, r2=4.0, alphas=("(0.6 - 0.05*rho)/rho^2", "0.25/rho"), phi="2.5/rho",
+        grid=SphereGrid(8, 16), newton_tol=1e-17,
+    )
+    args = (spec, initial_solution(spec), 0.0)
+    result = newton_solve(*args)
+    assert result.reason.startswith("StagnationError") and result.iterations > 0
+    assert load_layertrace()._describe("continuation.newton_solve", args, result) == {
+        "iterations": result.iterations, "converged": False,
+    }
 
 
 def test_traced_writers_take_the_output_path_first(tmp_path):
