@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linsolve as spla
-from .curvop import AdmissibilityError, jacobian, residual_field
+from .curvop import AdmissibilityError, jacobian, nonnegative, residual_field
 from .exprlang import EvalEnv, evaluate, ray_slope
 from .spheregeom import SphereGrid, geometry
 
@@ -43,10 +43,6 @@ __all__ = [
 
 #: radius samples per shell band; the full band [r1/2, 2 r2] gets twice as many
 SAMPLES = 48
-# Tolerance for non-strict hypothesis margins; absorbs the rounding of
-# terms that cancel when the true margin is exactly zero, such as the two
-# terms of a weighted coefficient constant in rho, a few ulps of each.
-MARGIN_SLACK = 1e-10
 # Newton gives up after this many accepted steps per solve, and a step
 # after this many halvings.
 NEWTON_MAX_ITER = 50
@@ -84,21 +80,15 @@ class ContinuationFailure(RuntimeError):
 
 @dataclass
 class HypothesisEntry:
-    """One certified condition: worst signed margin (nonnegative means the
-    inequality holds; strict conditions need it positive), where the worst
-    sample sits, and for the shell inequalities also the margin at the
-    shell radius itself."""
+    """One certified condition: whether every sample held (a strict margin
+    positive, another `curvop.nonnegative` on its terms), the worst margin,
+    where it sits, and for a shell inequality the margin at the shell radius."""
 
+    passed: bool
     strict: bool
     margin: float
     location: dict
     boundary_margin: float | None = None
-
-    @property
-    def passed(self):
-        if self.strict:
-            return self.margin > 0.0
-        return self.margin >= -MARGIN_SLACK
 
 
 @dataclass
@@ -114,11 +104,9 @@ class HypothesisReport:
         return [name for name, entry in self.entries.items() if not entry.passed]
 
     def as_dict(self):
-        checks = {}
-        for name, entry in self.entries.items():
-            # an entry without a boundary margin leaves that key out
-            fields = {key: value for key, value in asdict(entry).items() if value is not None}
-            checks[name] = {"passed": entry.passed, **fields}
+        # an entry without a boundary margin leaves that key out
+        checks = {name: {key: value for key, value in asdict(entry).items() if value is not None}
+                  for name, entry in self.entries.items()}
         return {"passed": self.passed, "checks": checks}
 
     def table(self):
@@ -187,47 +175,51 @@ def check_hypotheses(spec):
         # constants and fields of rho alone spread over the whole band
         return np.broadcast_to(np.asarray(values, dtype=float), env.x1.shape)
 
-    def shell_gap(env):
-        gap = 1.0 / env.rho**2 - evaluate(spec.alphas[0], env, "alpha0")
-        return gap - evaluate(spec.alphas[1], env, "alpha1") * 2.0 / env.rho
+    def shell_gap(env, sign):
+        terms = (1.0 / env.rho**2, evaluate(spec.alphas[0], env, "alpha0"),
+                 evaluate(spec.alphas[1], env, "alpha1") * 2.0 / env.rho)
+        return sign * (terms[0] - terms[1] - terms[2]), terms
 
     def profile(env):
         return sampled(evaluate(spec.phi, env, "phi"), env)
 
-    gap_outer = shell_gap(env_outer)
-    gap_inner = -shell_gap(env_inner)
+    gap_outer, outer_terms = shell_gap(env_outer, 1.0)
+    gap_inner, inner_terms = shell_gap(env_inner, -1.0)
     shell_alphas = [ray_slope(alpha, env_shell, f"alpha{l}") for l, alpha in enumerate(spec.alphas)]
     # d/d rho (rho^(2-l) alpha_l) = (2-l) rho^(1-l) alpha_l + rho^(2-l) alpha_l'
     r = env_shell.rho
-    slopes = np.stack([sampled((2 - l) * r ** (1 - l) * a + r ** (2 - l) * da, env_shell)
-                       for l, (a, da) in enumerate(shell_alphas)])
+    weighted = np.stack([(sampled((2 - l) * r ** (1 - l) * a, env_shell),
+                          sampled(r ** (2 - l) * da, env_shell))
+                         for l, (a, da) in enumerate(shell_alphas)], axis=1)
     alpha_shell = np.stack([sampled(a, env_shell) for a, _ in shell_alphas])
     profile_full = profile(env_full)
     # the drop along each ray: each radius sample minus the next one out
     drops = profile_full[:-1] - profile_full[1:]
 
-    # name, strict, band radii, margin field, worst margin at the barrier radius
+    # name, band radii, margin field, its terms (None: strict), margin at the barrier radius
     rows = [
-        ("shell_outer", False, outer, gap_outer, float(gap_outer[0].min())),
-        ("shell_inner", False, inner, gap_inner, float(gap_inner[-1].min())),
-        ("weighted_monotone", False, shell, -slopes, None),
-        ("alpha_positive", True, shell, alpha_shell, None),
-        ("profile_positive", True, full, profile_full, None),
-        ("profile_above_one_inside", True, inner, profile(env_inner) - 1.0, None),
-        ("profile_below_one_outside", True, outer, 1.0 - profile(env_outer), None),
-        ("profile_decreasing", True, full[:-1], drops, None),
+        ("shell_outer", outer, gap_outer, outer_terms, float(gap_outer[0].min())),
+        ("shell_inner", inner, gap_inner, inner_terms, float(gap_inner[-1].min())),
+        ("weighted_monotone", shell, -(weighted[0] + weighted[1]), weighted, None),
+        ("alpha_positive", shell, alpha_shell, None, None),
+        ("profile_positive", full, profile_full, None, None),
+        ("profile_above_one_inside", inner, profile(env_inner) - 1.0, None, None),
+        ("profile_below_one_outside", outer, 1.0 - profile(env_outer), None, None),
+        ("profile_decreasing", full[:-1], drops, None, None),
     ]
-    return HypothesisReport({
-        name: HypothesisEntry(strict, *_worst(margins, radii, dirs), boundary)
-        for name, strict, radii, margins, boundary in rows
-    })
+
+    def entry(radii, margins, terms, boundary):
+        holds = np.all(margins > 0.0 if terms is None else nonnegative(margins, *terms))
+        return HypothesisEntry(bool(holds), terms is None, *_worst(margins, radii, dirs), boundary)
+
+    return HypothesisReport({name: entry(*row) for name, *row in rows})
 
 
 def initial_solution(spec):
     """Constant starting field: the radius where the deformation profile
-    crosses 1, found by bisection on [r1, r2] to 1e-12, or until the
-    midpoint no longer splits the interval (crossings above 2^14 = 16384,
-    where adjacent floats are more than 2e-12 apart)."""
+    along the polar axis crosses 1, found by bisection on [r1, r2] until
+    the midpoint no longer splits the interval, so to within one float of
+    the crossing at any scale."""
     def profile(r):
         return float(evaluate(spec.phi, EvalEnv(r, 0.0, 0.0, r), "phi")) - 1.0
 
@@ -238,16 +230,14 @@ def initial_solution(spec):
             "deformation profile must cross 1 inside (r1, r2): "
             f"phi(r1)-1={f_lo:.3g}, phi(r2)-1={f_hi:.3g}"
         )
-    while hi - lo > 2e-12:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if profile(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    rho0 = 0.5 * (lo + hi)
-    return np.full(spec.grid.shape, rho0)
+        mid = 0.5 * (lo + hi)
+    return np.full(spec.grid.shape, mid)
 
 
 @dataclass

@@ -40,11 +40,9 @@ __all__ = [
     "Linearization",
     "jacobian",
     "ellipticity_check",
+    "nonnegative",
     "concavity_check",
 ]
-
-#: slack for the midpoint concavity comparison
-CONCAVITY_SLACK = 1e-10
 
 
 class AdmissibilityError(ArithmeticError):
@@ -270,20 +268,30 @@ def _g_of_matrix(mat, alpha0):
     return trace * (unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]) - alpha0 / trace
 
 
+#: the rounding a short sum may carry, per unit of its terms' magnitudes
+ROUNDING = 1024 * np.finfo(float).eps
+
+
+def nonnegative(total, *terms):
+    """Whether `total`, the computed sum of `terms`, is at least -ROUNDING *
+    sum |terms|, elementwise: a bound on the sum's rounding (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 4.2) that no unit sets."""
+    return total >= -ROUNDING * sum(np.abs(term) for term in terms)
+
+
 def concavity_check(mat_a, mat_b, alpha0):
     """Midpoint concavity of G(M) = (det M - alpha_0)/tr M on symmetric 2x2
-    matrices: G((A+B)/2) >= (G(A)+G(B))/2 up to a 1e-10 slack."""
-    mat_a = np.asarray(mat_a, dtype=float)
-    mat_b = np.asarray(mat_b, dtype=float)
+    matrices (off-diagonal entries within 1e-12 of the largest entry):
+    G((A+B)/2) - G(A)/2 - G(B)/2 is `nonnegative`."""
+    mat_a, mat_b = np.asarray(mat_a, dtype=float), np.asarray(mat_b, dtype=float)
     _check_alpha0(alpha0)
     for mat in (mat_a, mat_b):
         if mat.shape != (2, 2):
             raise ValueError("matrices must be 2x2")
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
-        if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * max(1.0, np.abs(mat).max()):
+        if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * np.abs(mat).max():
             raise ValueError("matrices must be symmetric")
-    value_a = _g_of_matrix(mat_a, alpha0)
-    value_b = _g_of_matrix(mat_b, alpha0)
-    value_mid = _g_of_matrix(0.5 * (mat_a + mat_b), alpha0)
-    return bool(value_mid >= 0.5 * (value_a + value_b) - CONCAVITY_SLACK)
+    terms = (_g_of_matrix(0.5 * (mat_a + mat_b), alpha0),
+             -0.5 * _g_of_matrix(mat_a, alpha0), -0.5 * _g_of_matrix(mat_b, alpha0))
+    return bool(nonnegative(sum(terms), *terms))

@@ -14,7 +14,7 @@ node.  The reader streams the CSV body line by line into numpy's C text
 parser, which rounds like ``float()``.  It converts only rho when the
 theta and phi fields are, byte for byte, the texts the writer prints for
 the grid; any other file, such as one another tool wrote with other
-digits, goes through a parse that converts every value, twice as slow.
+digits, goes through a parse that converts every value, 1.6 times as slow.
 """
 
 from __future__ import annotations

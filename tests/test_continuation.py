@@ -113,7 +113,7 @@ def test_hypothesis_margins_match_closed_forms():
     assert all(entry.passed for entry in report.entries.values())
 
 
-@pytest.mark.parametrize("c", [0.25, 2.5, 25.0, 250.0, 2.5e4])
+@pytest.mark.parametrize("c", [0.25, 2.5, 25.0, 250.0, 2.5e4, 2.5e6, 2.5e9])
 def test_weighted_monotone_is_exact_for_a_constant_weighted_coefficient(c):
     # rho * alpha_1 = c is constant in rho: the margin is zero up to the
     # rounding of its two cancelling terms, whatever the scale of c
@@ -121,6 +121,39 @@ def test_weighted_monotone_is_exact_for_a_constant_weighted_coefficient(c):
     monotone = report.entries["weighted_monotone"]
     assert abs(monotone.margin) <= 1e-13 * c
     assert monotone.passed
+
+
+def dilated_benchmark(s, alpha0=None):
+    """The benchmark under the dilation X -> sX, which maps solutions to
+    solutions: alpha_l scales as s^(l-2) and the profile is read at X/s,
+    so rho*alpha_1 = 0.25 stays as it is.  newton_tol, a curvature,
+    scales as 1/s."""
+    return ProblemSpec(
+        r1=s, r2=4.0 * s, alphas=(alpha0 or f"(0.6 - 0.05*rho/{s!r})/rho^2", ALPHA1),
+        phi=f"2.5*{s!r}/rho", grid=SphereGrid(8, 16), newton_tol=1e-10 / s,
+    )
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-3, 1e3, 1e6])
+def test_verdicts_and_solves_survive_dilation(s):
+    # the equation does not change under X -> sX, so neither may a verdict:
+    # the weighted margin of alpha_1 is exactly zero at every scale
+    base_report = check_hypotheses(dilated_benchmark(1.0))
+    report = check_hypotheses(dilated_benchmark(s))
+    flags = {name: entry.passed for name, entry in report.entries.items()}
+    assert flags == {name: entry.passed for name, entry in base_report.entries.items()}
+    base_rho, _ = continue_to_one(dilated_benchmark(1.0))
+    rho, solved = continue_to_one(dilated_benchmark(s))
+    assert [(step.t, step.newton_iters) for step in solved.steps] == [(0.0, 0), (1.0, 4)]
+    assert np.abs(rho / s - base_rho).max() <= 1e-12
+
+
+@pytest.mark.parametrize("s", [1.0, 1e6, 1e10])
+def test_barrier_breaker_is_refused_at_every_scale(s):
+    # alpha_0 = 0.6/rho^2 is its own dilation and breaks the outer barrier
+    # by 0.1/rho^2, 10% of its terms, however small rho^-2 is
+    report = check_hypotheses(dilated_benchmark(s, alpha0="0.6/rho^2"))
+    assert "shell_outer" in report.failed_names
 
 
 def count_evaluate(monkeypatch, budget=None):
@@ -212,8 +245,8 @@ def test_initializer_finds_round_sphere_root():
 
 
 def test_initializer_stops_when_floats_run_out(monkeypatch):
-    # the benchmark scaled by 1e4: near 25000 adjacent floats are 3.6e-12
-    # apart, so the bisection can never get the interval below 2e-12
+    # the benchmark scaled by 1e4: the bisection ends when the interval
+    # holds two adjacent floats, 3.6e-12 apart near 25000
     spec = ProblemSpec(
         r1=1e4, r2=4e4,
         alphas=("(0.6 - 0.05*rho/1e4)/rho^2", "0.25/rho"), phi="2.5e4/rho",
@@ -223,6 +256,16 @@ def test_initializer_stops_when_floats_run_out(monkeypatch):
     count_evaluate(monkeypatch, budget=500)
     rho0 = initial_solution(spec)
     assert np.all(rho0 == 25000.0)
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-4, 1.0, 1e8])
+def test_initializer_lands_within_one_float_of_the_crossing(s):
+    # the profile 2.5*s/rho crosses 1 at 2.5*s; the start sphere is within
+    # one float of it, so the t=0 solve needs no Newton step at any scale
+    spec = dilated_benchmark(s)
+    rho0 = initial_solution(spec)
+    assert np.all(np.abs(rho0 - 2.5 * s) <= np.spacing(2.5 * s))
+    assert newton_solve(spec, rho0, 0.0).iterations == 0
 
 
 def test_initializer_requires_profile_crossing():
@@ -434,8 +477,11 @@ def test_continuation_stalls_with_crippled_newton(monkeypatch):
 
 def test_continuation_fails_fast_when_the_t0_solve_fails(monkeypatch):
     # |F| cannot reach 1e-17 at t=0: after one Newton solve the stall is
-    # reported at t=0 with the starting sphere, and no step is recorded
-    spec = benchmark_spec(grid=SphereGrid(8, 16), newton_tol=1e-17)
+    # reported at t=0 with the starting sphere, and no step is recorded.
+    # The profile leans toward the north pole, so the t=0 solution is no
+    # sphere and the solve takes Newton steps before it stagnates
+    spec = benchmark_spec(grid=SphereGrid(8, 16), phi="2.5*(1 + 0.01*x3/rho)/rho",
+                          newton_tol=1e-17)
     solves, results = [], []
 
     def counting_newton_solve(*args, **kwargs):

@@ -473,6 +473,20 @@ def test_concavity_rejects_asymmetric_input():
     A = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):
         concavity_check(A, np.eye(2), 0.0)
+    # tiny entries: symmetry is judged relative to the matrix, not to 1
+    with pytest.raises(ValueError, match="symmetric"):
+        concavity_check(np.array([[1e-200, 1e-150], [0.0, 1e-200]]), np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e10, 1e100, 1e200])
+def test_concavity_holds_on_equality_rays_at_any_scale(s):
+    # G is homogeneous of degree 1 with alpha_0 = 0, so on a ray B = c A
+    # the midpoint inequality is an equality, decided up to rounding alone
+    rng = np.random.default_rng(30)
+    for _ in range(500):
+        q = rng.normal(size=(2, 2))
+        A = s * (q @ q.T + 0.05 * np.eye(2))
+        assert concavity_check(A, rng.uniform(0.2, 3.0) * A, 0.0)
 
 
 def test_concavity_on_random_spd_pairs():

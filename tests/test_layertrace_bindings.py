@@ -50,14 +50,15 @@ def test_traced_newton_result_fields():
 
 
 def test_traced_failed_newton_solve_reports_its_iterations():
-    # |F| cannot reach 1e-17 on the round sphere: the solve stagnates after
-    # some accepted steps and returns, so its span records iterations and
-    # converged like a converged one, not only that it raised
+    # |F| cannot reach 1e-17 near the round sphere: from a start 1e-9 off
+    # it, the solve stagnates after some accepted steps and returns, so its
+    # span records iterations and converged like a converged one, not only
+    # that it raised
     spec = ProblemSpec(
         r1=1.0, r2=4.0, alphas=("(0.6 - 0.05*rho)/rho^2", "0.25/rho"), phi="2.5/rho",
         grid=SphereGrid(8, 16), newton_tol=1e-17,
     )
-    args = (spec, initial_solution(spec), 0.0)
+    args = (spec, initial_solution(spec) * (1.0 + 1e-9), 0.0)
     result = newton_solve(*args)
     assert result.reason.startswith("StagnationError") and result.iterations > 0
     assert load_layertrace()._describe("continuation.newton_solve", args, result) == {
