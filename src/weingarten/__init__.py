@@ -26,8 +26,6 @@ from .curvop import (
     AdmissibilityError,
     ProblemSpec,
     alpha_blend,
-    concavity_check,
-    ellipticity_check,
     jacobian,
     residual,
     residual_field,

@@ -146,6 +146,7 @@ def _worst(margins, radii, dirs):
     return float(np.ravel(margins)[idx]), location
 
 
+@np.errstate(all="ignore")
 def check_hypotheses(spec):
     """Certify the coefficient data of a problem on SAMPLES radii per shell.
 
@@ -157,6 +158,7 @@ def check_hypotheses(spec):
       alpha_positive: alpha_l > 0 on [r1, r2]
       profile_positive / _above_one_inside / _below_one_outside /
       _decreasing: the shape conditions on the deformation profile.
+    Margins are formed with numpy's floating-point faults ignored.
     """
     r1, r2 = spec.r1, spec.r2
     dirs = _direction_lattice()
@@ -177,7 +179,7 @@ def check_hypotheses(spec):
 
     def shell_gap(env, sign):
         terms = (1.0 / env.rho**2, evaluate(spec.alphas[0], env, "alpha0"),
-                 evaluate(spec.alphas[1], env, "alpha1") * 2.0 / env.rho)
+                 evaluate(spec.alphas[1], env, "alpha1") / env.rho * 2.0)
         return sign * (terms[0] - terms[1] - terms[2]), terms
 
     def profile(env):

@@ -16,9 +16,7 @@ radii only through the value and the five derivative jets of rho at each
 node, so its Jacobian is the chain rule: per-node partials with respect to
 each jet, times the grid's fixed derivative stencils.  It is kept
 matrix-free, as those partials, and applied to a field through the same
-stencils that build the jets.  The ellipticity and concavity checks are
-the closed forms of the same operator, G = (sigma_2 - alpha_0)/sigma_1,
-from trace and determinant, with no eigenvalue.
+stencils that build the jets.
 """
 
 from __future__ import annotations
@@ -39,9 +37,7 @@ __all__ = [
     "residual_field",
     "Linearization",
     "jacobian",
-    "ellipticity_check",
     "nonnegative",
-    "concavity_check",
 ]
 
 
@@ -233,65 +229,13 @@ def jacobian(spec, rho, t):
     return Linearization(grid, partials)
 
 
-def _check_alpha0(alpha0):
-    """Refuse an alpha_0 the operator checks cannot judge: the theory takes
-    it nonnegative, and an infinite or NaN one gives no value of G."""
-    if not 0.0 <= alpha0 < math.inf:
-        raise ValueError(f"alpha_0 must be nonnegative and finite, got {alpha0}")
-
-
-def ellipticity_check(lam, alpha0):
-    """Ellipticity of G = (sigma_2 - alpha_0)/sigma_1 at a principal-curvature
-    pair lam in Gamma_1: dG/d lam_i = (lam_j^2 + alpha_0)/sigma_1^2, with j
-    the other index, formed scale-free lest sigma_1^2 overflow or underflow.
-    Returns (both positive, their minimum, their sum)."""
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape != (2,):
-        raise ValueError(f"need a pair of principal curvatures, got shape {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise ValueError("principal curvatures must be finite")
-    _check_alpha0(alpha0)
-    sigma1 = lam[0] + lam[1]
-    if not sigma1 > 0.0:
-        raise ValueError("principal curvatures must lie in Gamma_1 (sigma_1 > 0)")
-    g_ii = (lam[::-1] / sigma1) ** 2 + alpha0 / sigma1 / sigma1
-    return bool(np.all(g_ii > 0.0)), float(g_ii.min()), float(g_ii.sum())
-
-
-def _g_of_matrix(mat, alpha0):
-    """G(M) = (det M - alpha_0)/tr M = tr M det(M/tr M) - alpha_0/tr M, for M
-    with eigenvalues in Gamma_1; the second form keeps det M from overflowing."""
-    trace = mat[0, 0] + mat[1, 1]
-    if not trace > 0.0:
-        raise ValueError("matrix eigenvalues must lie in Gamma_1 (tr M > 0)")
-    unit = mat / trace
-    return trace * (unit[0, 0] * unit[1, 1] - unit[0, 1] * unit[1, 0]) - alpha0 / trace
-
-
 #: the rounding a short sum may carry, per unit of its terms' magnitudes
 ROUNDING = 1024 * np.finfo(float).eps
 
 
 def nonnegative(total, *terms):
-    """Whether `total`, the computed sum of `terms`, is at least -ROUNDING *
-    sum |terms|, elementwise: a bound on the sum's rounding (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2002, sec. 4.2) that no unit sets."""
-    return total >= -ROUNDING * sum(np.abs(term) for term in terms)
-
-
-def concavity_check(mat_a, mat_b, alpha0):
-    """Midpoint concavity of G(M) = (det M - alpha_0)/tr M on symmetric 2x2
-    matrices (off-diagonal entries within 1e-12 of the largest entry):
-    G((A+B)/2) - G(A)/2 - G(B)/2 is `nonnegative`."""
-    mat_a, mat_b = np.asarray(mat_a, dtype=float), np.asarray(mat_b, dtype=float)
-    _check_alpha0(alpha0)
-    for mat in (mat_a, mat_b):
-        if mat.shape != (2, 2):
-            raise ValueError("matrices must be 2x2")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must be finite")
-        if abs(mat[0, 1] - mat[1, 0]) > 1e-12 * np.abs(mat).max():
-            raise ValueError("matrices must be symmetric")
-    terms = (_g_of_matrix(0.5 * (mat_a + mat_b), alpha0),
-             -0.5 * _g_of_matrix(mat_a, alpha0), -0.5 * _g_of_matrix(mat_b, alpha0))
-    return bool(nonnegative(sum(terms), *terms))
+    """Whether `total`, the computed sum of `terms`, is finite and at least
+    -sum ROUNDING |term|, elementwise: a bound on the sum's rounding (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, sec. 4.2) that no
+    unit sets and, ROUNDING being a power of two, no finite term overflows."""
+    return np.isfinite(total) & (total >= -sum(ROUNDING * np.abs(term) for term in terms))

@@ -250,10 +250,21 @@ def write_obj(path, grid, rho):
         fh.write(fan % tuple(south_fan.ravel().tolist()))
 
 
+def _strict(value):
+    """`value` with each non-finite float in it named "inf", "-inf" or
+    "nan": strict JSON has no number for them."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return str(value) if isinstance(value, float) and not np.isfinite(value) else value
+
+
 def write_report(path, report):
-    """A solve or hypothesis report as indented JSON."""
+    """A solve or hypothesis report as indented, strict JSON."""
     Path(path).write_text(
-        json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
+        json.dumps(_strict(report.as_dict()), indent=2, allow_nan=False) + "\n",
+        encoding="utf-8",
     )
 
 

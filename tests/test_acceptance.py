@@ -14,14 +14,10 @@ import numpy as np
 
 from weingarten import cli
 from weingarten.continuation import check_hypotheses, continue_to_one, newton_solve
-from weingarten.curvop import (
-    ProblemSpec,
-    concavity_check,
-    ellipticity_check,
-    residual_field,
-)
+from weingarten.curvop import ProblemSpec, residual_field
 from weingarten.spheregeom import SphereGrid, geometry
 
+from operator_reference import concavity_check, ellipticity_check
 from symmfunc_reference import in_gamma_cone, newton_maclaurin_holds, sigma_all
 
 ALPHA0 = "(0.6 - 0.05*rho)/rho^2"

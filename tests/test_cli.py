@@ -590,6 +590,45 @@ def test_verify_of_an_overflowing_residual_is_one_failure_line(tmp_path):
     assert done.stderr == ""
 
 
+#: zero up to r2 = 4, then 1.7e308 a hair beyond it
+PAST_R2 = "1.7e308*min(1, max(0, 1e9*(rho - 4.0000001)))"
+
+
+def overflow_past_r2_cfg(tmp_path, alpha1):
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text()
+                   .replace('"(0.6 - 0.05*rho)/rho^2"', f'"(0.6 - 0.05*rho)/rho^2 + {PAST_R2}"')
+                   .replace('"0.25/rho"', f'"{alpha1}"'))
+    return cfg
+
+
+def test_an_overflowed_barrier_margin_is_refused(tmp_path):
+    # past r2 the outer barrier fails by about 1e308 and its sum overflows
+    # to -inf: no pass, no solve, and no numpy warning on stderr
+    cfg = overflow_past_r2_cfg(tmp_path, f"0.25/rho + {PAST_R2}")
+    done = run_program(tmp_path, "-m", "weingarten.cli", "check", str(cfg))
+    assert (done.returncode, done.stderr) == (1, "")
+    row = next(line for line in done.stdout.splitlines() if line.startswith("shell_outer"))
+    assert row.split()[:3] == ["shell_outer", "FAIL", "-inf"]
+    done = run_program(tmp_path, "-m", "weingarten.cli", "solve", str(cfg))
+    assert (done.returncode, done.stderr) == (1, "")
+    assert "hypothesis check failed; not solving" in done.stdout
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+def test_non_finite_margins_are_written_as_strict_json(tmp_path, capsys):
+    def refuse(token):
+        raise ValueError(f"{token} is not RFC 8259 JSON")
+
+    cfg = overflow_past_r2_cfg(tmp_path, "1e308")
+    assert cli.main(["check", str(cfg)]) == 1
+    text = (tmp_path / "out" / "hypothesis_report.json").read_text()
+    checks = json.loads(text, parse_constant=refuse)["checks"]
+    assert checks["shell_outer"]["margin"] == "-inf"
+    assert checks["shell_inner"]["margin"] == checks["shell_inner"]["boundary_margin"] == "inf"
+    assert [checks[name]["passed"] for name in ("shell_outer", "shell_inner")] == [False, False]
+
+
 @pytest.mark.parametrize("value, node, reason", [
     (-2.0, (3, 5), "rho must be positive, violated at node (3, 5)"),
     (0.0, (7, 0), "rho must be positive, violated at node (7, 0)"),

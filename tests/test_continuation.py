@@ -156,6 +156,15 @@ def test_barrier_breaker_is_refused_at_every_scale(s):
     assert "shell_outer" in report.failed_names
 
 
+def test_a_huge_but_finite_barrier_term_is_certified():
+    # below r1 = 4, alpha_1 = 1e308: 2 alpha_1 overflows, 2 alpha_1/rho on the
+    # inner band [2, 4] does not, and the inner barrier holds by about 1e308
+    spec = dilated_benchmark(4.0)
+    huge_inside = "0.25/rho + 1e308*min(1, max(0, 1e9*(3.9999999 - rho)))"
+    report = check_hypotheses(replace(spec, alphas=(spec.alphas[0], huge_inside)))
+    assert report.passed
+
+
 def count_evaluate(monkeypatch, budget=None):
     """Record the key of every call to `continuation.evaluate`, the name
     the benchmark's layer tracer binds, and to `continuation.ray_slope`,

@@ -13,8 +13,6 @@ from weingarten.curvop import (
     AdmissibilityError,
     ProblemSpec,
     alpha_blend,
-    concavity_check,
-    ellipticity_check,
     jacobian,
     residual,
     residual_field,
@@ -23,6 +21,7 @@ from weingarten.exprlang import EvalEnv
 from weingarten.spheregeom import SphereGrid, geometry, local_geometry
 
 import symmfunc_reference as symmfunc
+from operator_reference import _g_of_matrix, concavity_check, ellipticity_check
 
 ALPHA0 = "(0.6 - 0.05*rho)/rho^2"
 ALPHA1 = "0.25/rho"
@@ -435,7 +434,7 @@ def test_operator_of_a_matrix_matches_its_eigenvalues():
         sig = symmfunc.sigma_all(np.linalg.eigvalsh(mat))
         want = sig[2] / sig[1] - alpha0 / sig[1]
         scale = np.abs(lam).max() * (lam @ lam + 2.0 * alpha0) / lam.sum() ** 2
-        assert abs(curvop._g_of_matrix(mat, alpha0) - want) <= 1e-14 * scale
+        assert abs(_g_of_matrix(mat, alpha0) - want) <= 1e-14 * scale
 
 
 def test_concavity_rejects_bad_input():
@@ -467,6 +466,33 @@ def test_concavity_small_example():
 def test_concavity_with_a_huge_matrix():
     # det M would overflow; G(A) = 5e199, G(I) = 1/2 and G((A+I)/2) = 2.5e199
     assert concavity_check(np.diag([1e200, 1e200]), np.eye(2), 0.0)
+
+
+def test_operator_checks_answer_where_the_trace_overflows():
+    # sigma_1 = tr M = 2e308 overflows a double; its half does not
+    assert ellipticity_check(np.array([1e308, 1e308]), 0.0) == (True, 0.25, 0.5)
+    huge = np.diag([1e308, 1e308])
+    assert _g_of_matrix(huge, 0.0) == 0.5 * 1e308
+    assert concavity_check(huge, huge, 0.0)
+    assert concavity_check(huge, np.eye(2), 0.0)
+
+
+def test_concavity_refuses_a_G_beyond_the_double_range():
+    # tr M = 1e306 and det M = -2.9e616, so G(M) = -2.9e310
+    with pytest.raises(ValueError, match="double range"):
+        concavity_check(np.diag([1.7e308, -1.69e308]), np.eye(2), 0.0)
+
+
+def test_nonnegative_refuses_a_sum_that_left_the_double_range():
+    big = np.finfo(float).max
+    # the true sum is -1e308; the magnitudes overflow, the scaled bound does not
+    assert not curvop.nonnegative(-1e308, 1e308, -1e308, -1e308)
+    # a total that overflowed, or is NaN, says nothing of the true sum's sign
+    for total in (-np.inf, np.inf, np.nan):
+        assert not curvop.nonnegative(total, big, big, -1.0)
+    assert curvop.nonnegative(0.0, big, -big)
+    verdicts = curvop.nonnegative(np.array([0.0, -1e-300, -1.0]), np.ones(3), -np.ones(3))
+    assert verdicts.tolist() == [True, True, False]
 
 
 def test_concavity_rejects_asymmetric_input():

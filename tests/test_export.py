@@ -17,6 +17,7 @@ from weingarten.export import (
     read_solution_csv,
     write_hypothesis_report,
     write_obj,
+    write_report,
     write_solution_csv,
     write_solve_report,
 )
@@ -461,3 +462,28 @@ def test_report_files_are_valid_json(tmp_path):
     data = json.loads(solve_path.read_text())
     assert data["reached_t1"] is True
     assert data["steps"][-1]["t"] == 1.0
+
+
+class FixedReport:
+    def __init__(self, data):
+        self.data = data
+
+    def as_dict(self):
+        return self.data
+
+
+def test_reports_name_non_finite_numbers_and_keep_finite_ones_as_dumped(tmp_path):
+    def refuse(token):
+        raise ValueError(f"{token} is not RFC 8259 JSON")
+
+    finite = {"passed": True, "checks": {"a": {"margin": -1.5e-17, "location": {"rho": 4.0}}},
+              "steps": [{"t": 1.0, "norms": [0.5, 1e-300]}]}
+    path = tmp_path / "report.json"
+    write_report(path, FixedReport(finite))
+    assert path.read_text() == json.dumps(finite, indent=2) + "\n"
+
+    odd = {"margin": -np.inf, "norms": [np.float64("inf"), float("nan"), 2.0],
+           "pair": (1.0, -np.inf)}
+    write_report(path, FixedReport(odd))
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "margin": "-inf", "norms": ["inf", "nan", 2.0], "pair": [1.0, "-inf"]}
