@@ -41,8 +41,6 @@ from .export import (
 )
 from .spheregeom import geometry
 
-__all__ = ["main"]
-
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_BAD_INPUT = 2

@@ -14,8 +14,6 @@ from .curvop import ProblemSpec
 from .exprlang import ExprSyntaxError, parse
 from .spheregeom import SphereGrid
 
-__all__ = ["ConfigError", "RunConfig", "load_config"]
-
 
 class ConfigError(ValueError):
     """Unusable configuration file."""

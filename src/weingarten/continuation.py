@@ -25,22 +25,6 @@ from .curvop import AdmissibilityError, jacobian, nonnegative, residual_field
 from .exprlang import EvalEnv, evaluate, ray_slope
 from .spheregeom import SphereGrid, geometry
 
-__all__ = [
-    "HypothesisEntry",
-    "HypothesisReport",
-    "HypothesisError",
-    "InitializationError",
-    "ContinuationFailure",
-    "NewtonResult",
-    "SolveStep",
-    "SolveReport",
-    "check_hypotheses",
-    "initial_solution",
-    "newton_solve",
-    "monitors",
-    "continue_to_one",
-]
-
 #: radius samples per shell band; the full band [r1/2, 2 r2] gets twice as many
 SAMPLES = 48
 # Newton gives up after this many accepted steps per solve, and a step
@@ -126,6 +110,12 @@ def _direction_lattice():
     return tuple(np.concatenate([d.ravel(), pole]) for d, pole in zip(lattice, poles))
 
 
+def _exponent(values):
+    """frexp's exponent e of the largest |v| in `values`: |v| < 2^e for
+    every finite v."""
+    return int(np.max(np.frexp(values)[1]))
+
+
 def _worst(margins, radii, dirs):
     """Minimum of a margin field sampled on the grid radii x dirs, and
     where it sits: the radius, u = cos(theta), and the polar and azimuthal
@@ -158,7 +148,9 @@ def check_hypotheses(spec):
       alpha_positive: alpha_l > 0 on [r1, r2]
       profile_positive / _above_one_inside / _below_one_outside /
       _decreasing: the shape conditions on the deformation profile.
-    Margins are formed with numpy's floating-point faults ignored.
+    Margins are formed with numpy's floating-point faults ignored.  A shell
+    band is decided in a power-of-two unit that keeps its terms and their
+    sum finite; every margin is reported in raw units.
     """
     r1, r2 = spec.r1, spec.r2
     dirs = _direction_lattice()
@@ -178,15 +170,21 @@ def check_hypotheses(spec):
         return np.broadcast_to(np.asarray(values, dtype=float), env.x1.shape)
 
     def shell_gap(env, sign):
-        terms = (1.0 / env.rho**2, evaluate(spec.alphas[0], env, "alpha0"),
-                 evaluate(spec.alphas[1], env, "alpha1") / env.rho * 2.0)
-        return sign * (terms[0] - terms[1] - terms[2]), terms
+        # the terms in a unit of 2^-k, k set by their exponents so that each
+        # is below 2^1021 and their sum finite; a power of two scales exactly
+        alpha0 = evaluate(spec.alphas[0], env, "alpha0")
+        alpha1 = evaluate(spec.alphas[1], env, "alpha1")
+        e_inv = _exponent(1.0 / env.rho)
+        k = max(2 * e_inv, _exponent(alpha0), _exponent(alpha1) + e_inv + 1) - 1021
+        unit = 2.0 ** -max(0, k)
+        terms = (unit / env.rho**2, unit * alpha0, unit * alpha1 / env.rho * 2.0)
+        return sign * (terms[0] - terms[1] - terms[2]), terms, unit
 
     def profile(env):
         return sampled(evaluate(spec.phi, env, "phi"), env)
 
-    gap_outer, outer_terms = shell_gap(env_outer, 1.0)
-    gap_inner, inner_terms = shell_gap(env_inner, -1.0)
+    gap_outer, outer_terms, outer_unit = shell_gap(env_outer, 1.0)
+    gap_inner, inner_terms, inner_unit = shell_gap(env_inner, -1.0)
     shell_alphas = [ray_slope(alpha, env_shell, f"alpha{l}") for l, alpha in enumerate(spec.alphas)]
     # d/d rho (rho^(2-l) alpha_l) = (2-l) rho^(1-l) alpha_l + rho^(2-l) alpha_l'
     r = env_shell.rho
@@ -198,10 +196,11 @@ def check_hypotheses(spec):
     # the drop along each ray: each radius sample minus the next one out
     drops = profile_full[:-1] - profile_full[1:]
 
-    # name, band radii, margin field, its terms (None: strict), margin at the barrier radius
+    # name, band radii, margin field, its terms (None: strict), margin at the
+    # barrier radius, and the unit of the field, its terms and that margin
     rows = [
-        ("shell_outer", outer, gap_outer, outer_terms, float(gap_outer[0].min())),
-        ("shell_inner", inner, gap_inner, inner_terms, float(gap_inner[-1].min())),
+        ("shell_outer", outer, gap_outer, outer_terms, gap_outer[0].min(), outer_unit),
+        ("shell_inner", inner, gap_inner, inner_terms, gap_inner[-1].min(), inner_unit),
         ("weighted_monotone", shell, -(weighted[0] + weighted[1]), weighted, None),
         ("alpha_positive", shell, alpha_shell, None, None),
         ("profile_positive", full, profile_full, None, None),
@@ -210,9 +209,13 @@ def check_hypotheses(spec):
         ("profile_decreasing", full[:-1], drops, None, None),
     ]
 
-    def entry(radii, margins, terms, boundary):
+    def entry(radii, margins, terms, boundary, unit=1.0):
+        # the verdict is taken in the field's unit, the margins reported in raw units
         holds = np.all(margins > 0.0 if terms is None else nonnegative(margins, *terms))
-        return HypothesisEntry(bool(holds), terms is None, *_worst(margins, radii, dirs), boundary)
+        if boundary is not None:
+            boundary = float(boundary / unit)
+        return HypothesisEntry(bool(holds), terms is None,
+                               *_worst(margins / unit, radii, dirs), boundary)
 
     return HypothesisReport({name: entry(*row) for name, *row in rows})
 

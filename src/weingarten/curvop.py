@@ -27,18 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import evaluate, parse, ray_slope
-from .spheregeom import SphereGrid, _curvatures, _raw_derivatives, geometry
-
-__all__ = [
-    "AdmissibilityError",
-    "ProblemSpec",
-    "alpha_blend",
-    "residual",
-    "residual_field",
-    "Linearization",
-    "jacobian",
-    "nonnegative",
-]
+from .spheregeom import SphereGrid, _curvatures, _raw_derivatives, first_node, geometry
 
 
 class AdmissibilityError(ArithmeticError):
@@ -94,8 +83,8 @@ def alpha_blend(spec, env, t):
 def _admissible_sigma1(sigma1):
     """sigma1; AdmissibilityError at the first node where it is not
     positive (kappa outside Gamma_1)."""
-    if np.any(sigma1 <= 0.0):
-        bad = tuple(np.argwhere(sigma1 <= 0.0)[0].tolist())
+    bad = first_node(sigma1 <= 0.0)
+    if bad is not None:
         raise AdmissibilityError(bad)
     return sigma1
 
@@ -118,8 +107,8 @@ def residual(spec, geom, t):
         out = geom.sigma2 / sigma1
         out = out - t_alpha0 / sigma1
         out = out - blend
-    if not np.all(np.isfinite(out)):
-        bad = tuple(np.argwhere(~np.isfinite(out))[0].tolist())
+    bad = first_node(~np.isfinite(out))
+    if bad is not None:
         raise FloatingPointError(f"non-finite residual at node {bad}")
     return out
 

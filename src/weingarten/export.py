@@ -27,17 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .spheregeom import SphereGrid
-
-__all__ = [
-    "SolutionFormatError",
-    "write_solution_csv",
-    "read_solution_csv",
-    "write_obj",
-    "write_report",
-    "write_solve_report",
-    "write_hypothesis_report",
-]
+from .spheregeom import SphereGrid, first_node
 
 #: 17 significant digits round-trip IEEE doubles exactly
 NUMBER = "%.17g"
@@ -213,8 +203,8 @@ def write_obj(path, grid, rho):
     rho = grid.check_field(rho)
     nt, nphi = grid.shape
     d1, d2, d3 = grid.directions()
-    if not np.all(rho > 0.0):
-        bad = tuple(np.argwhere(~(rho > 0.0))[0].tolist())
+    bad = first_node(~(rho > 0.0))
+    if bad is not None:
         raise SolutionFormatError(f"cannot mesh: rho must be positive, violated at node {bad}")
 
     def ring(i):

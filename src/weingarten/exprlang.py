@@ -31,19 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "ExprSyntaxError",
-    "ExprNameError",
-    "ExprEvalError",
-    "EvalEnv",
-    "Const",
-    "Var",
-    "Call",
-    "parse",
-    "evaluate",
-    "ray_slope",
-]
-
 VARIABLES = ("rho", "x1", "x2", "x3", "u")
 
 

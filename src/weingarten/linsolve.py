@@ -32,8 +32,6 @@ import numpy as np
 
 from .spheregeom import _raw_derivatives
 
-__all__ = ["GMRES_RTOL", "GMRES_MAXITER", "RingMeanSolver", "gmres", "splu", "spsolve"]
-
 #: GMRES stops once the residual 2-norm is below this fraction of |b| ...
 GMRES_RTOL = 1e-2
 #: ... or after this many iterations; there are no restarts

@@ -29,13 +29,6 @@ import numpy as np
 
 from .exprlang import EvalEnv
 
-__all__ = [
-    "SphereGrid",
-    "GeometryState",
-    "local_geometry",
-    "geometry",
-]
-
 MIN_NTHETA, MAX_NTHETA = 4, 512
 MIN_NPHI, MAX_NPHI = 8, 1024
 
@@ -191,13 +184,19 @@ def _second_form_parts(grid, rho, jets, w):
     return h_tt, h_tp, h_pp
 
 
+def first_node(mask):
+    """Index of the first true entry of `mask` as a tuple of plain ints,
+    which prints as `(3, 5)` in a message; None if there is none."""
+    return tuple(np.argwhere(mask)[0].tolist()) if mask.any() else None
+
+
 def _curvatures(grid, rho, jets):
     """The kernel's one pass: w, g = (g_tt, g_tp, g_pp), h = (h_tt, h_tp,
     h_pp), sigma_1 = D / det g and sigma_2 = det h / det g.  Raises
     ValueError at the first node where rho is not positive, then
     FloatingPointError at the first where either sigma is not finite."""
-    if np.any(rho <= 0.0):
-        bad = tuple(np.argwhere(rho <= 0.0)[0].tolist())
+    bad = first_node(rho <= 0.0)
+    if bad is not None:
         raise ValueError(f"rho must be positive, violated at node {bad}")
     w = _norm(grid, rho, jets[0], jets[1])
     g = g_tt, g_tp, g_pp = _metric_parts(grid, rho, jets[0], jets[1])
@@ -205,9 +204,8 @@ def _curvatures(grid, rho, jets):
     det = g_tt * g_pp - g_tp * g_tp
     sigma1 = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det
     sigma2 = (h_tt * h_pp - h_tp * h_tp) / det
-    finite = np.isfinite(sigma1) & np.isfinite(sigma2)
-    if not finite.all():
-        bad = tuple(np.argwhere(~finite)[0].tolist())
+    bad = first_node(~(np.isfinite(sigma1) & np.isfinite(sigma2)))
+    if bad is not None:
         raise FloatingPointError(f"non-finite curvature at node {bad}")
     return w, g, h, sigma1, sigma2
 

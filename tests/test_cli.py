@@ -626,7 +626,20 @@ def test_non_finite_margins_are_written_as_strict_json(tmp_path, capsys):
     checks = json.loads(text, parse_constant=refuse)["checks"]
     assert checks["shell_outer"]["margin"] == "-inf"
     assert checks["shell_inner"]["margin"] == checks["shell_inner"]["boundary_margin"] == "inf"
-    assert [checks[name]["passed"] for name in ("shell_outer", "shell_inner")] == [False, False]
+    assert [checks[name]["passed"] for name in ("shell_outer", "shell_inner")] == [False, True]
+
+
+def test_a_barrier_margin_beyond_the_double_range_is_certified(tmp_path):
+    # alpha_1 = 1e308 puts 2 alpha_1/rho at 2e308-4e308 on the inner band
+    # [0.5, 1]: the inner barrier holds, though its margin reads +inf in raw
+    # units, while the outer barrier and the monotonicity still fail
+    cfg = write_cfg(tmp_path)
+    cfg.write_text(cfg.read_text().replace('"0.25/rho"', '"1e308"'))
+    done = run_program(tmp_path, "-m", "weingarten.cli", "check", str(cfg))
+    assert (done.returncode, done.stderr) == (1, "")
+    rows = [line.split() for line in done.stdout.splitlines()[1:-1]]
+    assert ["shell_inner", "pass", "+inf"] in [row[:3] for row in rows]
+    assert [row[0] for row in rows if row[1] == "FAIL"] == ["shell_outer", "weighted_monotone"]
 
 
 @pytest.mark.parametrize("value, node, reason", [

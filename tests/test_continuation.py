@@ -148,6 +148,23 @@ def test_verdicts_and_solves_survive_dilation(s):
     assert np.abs(rho / s - base_rho).max() <= 1e-12
 
 
+def dilated_tilt(s):
+    """`dilated_benchmark` on a 16x32 grid with alpha_0 tilted toward
+    (0.48, -0.6, 0.64), as perfbench's `tilt_alpha0` tilts it: the solve
+    then has the polar modes that the radial benchmark leaves at zero."""
+    alpha0 = f"(0.6 - 0.05*rho/{s!r})*(1 + 0.05*(0.48*x1 - 0.6*x2 + 0.64*x3)/rho)/rho^2"
+    return replace(dilated_benchmark(s, alpha0), grid=SphereGrid(16, 32))
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e6])
+def test_a_tilted_solve_survives_dilation(s):
+    base_rho, base = continue_to_one(dilated_tilt(1.0))
+    rho, solved = continue_to_one(dilated_tilt(s))
+    steps = [(step.t, step.newton_iters) for step in solved.steps]
+    assert steps == [(step.t, step.newton_iters) for step in base.steps] == [(0.0, 0), (1.0, 5)]
+    assert np.abs(rho / s - base_rho).max() <= 1e-12
+
+
 @pytest.mark.parametrize("s", [1.0, 1e6, 1e10])
 def test_barrier_breaker_is_refused_at_every_scale(s):
     # alpha_0 = 0.6/rho^2 is its own dilation and breaks the outer barrier

@@ -67,8 +67,8 @@ UNREACHED_BY_DESIGN = {
 
 def definitions(tree):
     """Top-level functions, classes and constants of a module, by name,
-    each with the node whose names it reads; dunder names such as
-    `__all__` describe the module and are left out."""
+    each with the node whose names it reads; dunder names describe the
+    module and are left out."""
     found = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -119,6 +119,15 @@ def test_every_top_level_name_is_reached_from_the_commands():
     defined = {(module, name) for module, tree in trees.items() for name in definitions(tree)}
     unreached = defined - reached_from_commands(trees)
     assert unreached == UNREACHED_BY_DESIGN, sorted(unreached - UNREACHED_BY_DESIGN)
+
+
+def test_only_the_package_states_its_api():
+    # the imports of `weingarten/__init__.py` are the one list of public
+    # names; an `__all__` in a module would be a second list to keep in step
+    stating = [module for module, tree in sorted(parsed_modules().items())
+               if any(isinstance(node, ast.Name) and node.id == "__all__"
+                      and isinstance(node.ctx, ast.Store) for node in ast.walk(tree))]
+    assert not stating, ", ".join(stating)
 
 
 def test_readme_module_references_resolve():
