@@ -128,7 +128,7 @@ def cmd_verify(args):
 
     tol = 10.0 * spec.newton_tol
     try:
-        res_inf = float(np.abs(residual_field(spec, rho, 1.0)).max())
+        res_inf = float(np.abs(residual_field(spec, rho, 1.0)[1]).max())
         if res_inf > tol:
             failures.append(f"residual: |F| = {res_inf:.3e} > {tol:.1e}")
     except (AdmissibilityError, ExprEvalError, FloatingPointError) as err:

@@ -110,10 +110,11 @@ def _direction_lattice():
     return tuple(np.concatenate([d.ravel(), pole]) for d, pole in zip(lattice, poles))
 
 
-def _exponent(values):
-    """frexp's exponent e of the largest |v| in `values`: |v| < 2^e for
-    every finite v."""
-    return int(np.max(np.frexp(values)[1]))
+def _unit(*products):
+    """The power of two 2^-k, k >= 0 least, in which each product of the given
+    factors (|v| < 2^e, e frexp's) is below 2^1021, so that their sum is finite."""
+    k = max(sum(int(np.max(np.frexp(factor)[1])) for factor in factors) for factors in products)
+    return 2.0 ** -max(0, k - 1021)
 
 
 def _worst(margins, radii, dirs):
@@ -149,8 +150,8 @@ def check_hypotheses(spec):
       profile_positive / _above_one_inside / _below_one_outside /
       _decreasing: the shape conditions on the deformation profile.
     Margins are formed with numpy's floating-point faults ignored.  A shell
-    band is decided in a power-of-two unit that keeps its terms and their
-    sum finite; every margin is reported in raw units.
+    band, and each coefficient's weighted slope, is decided in a power of
+    two (`_unit`), which scales exactly; margins are reported in raw units.
     """
     r1, r2 = spec.r1, spec.r2
     dirs = _direction_lattice()
@@ -170,13 +171,10 @@ def check_hypotheses(spec):
         return np.broadcast_to(np.asarray(values, dtype=float), env.x1.shape)
 
     def shell_gap(env, sign):
-        # the terms in a unit of 2^-k, k set by their exponents so that each
-        # is below 2^1021 and their sum finite; a power of two scales exactly
         alpha0 = evaluate(spec.alphas[0], env, "alpha0")
         alpha1 = evaluate(spec.alphas[1], env, "alpha1")
-        e_inv = _exponent(1.0 / env.rho)
-        k = max(2 * e_inv, _exponent(alpha0), _exponent(alpha1) + e_inv + 1) - 1021
-        unit = 2.0 ** -max(0, k)
+        inverse = 1.0 / env.rho
+        unit = _unit((inverse, inverse), (alpha0,), (alpha1, inverse, 2.0))
         terms = (unit / env.rho**2, unit * alpha0, unit * alpha1 / env.rho * 2.0)
         return sign * (terms[0] - terms[1] - terms[2]), terms, unit
 
@@ -186,10 +184,13 @@ def check_hypotheses(spec):
     gap_outer, outer_terms, outer_unit = shell_gap(env_outer, 1.0)
     gap_inner, inner_terms, inner_unit = shell_gap(env_inner, -1.0)
     shell_alphas = [ray_slope(alpha, env_shell, f"alpha{l}") for l, alpha in enumerate(spec.alphas)]
-    # d/d rho (rho^(2-l) alpha_l) = (2-l) rho^(1-l) alpha_l + rho^(2-l) alpha_l'
+    # d/d rho (rho^(2-l) alpha_l) = (2-l) rho^(1-l) alpha_l + rho^(2-l) alpha_l',
+    # each coefficient's two terms in their own unit
     r = env_shell.rho
-    weighted = np.stack([(sampled((2 - l) * r ** (1 - l) * a, env_shell),
-                          sampled(r ** (2 - l) * da, env_shell))
+    weighted_unit = np.array([_unit((2 - l, r ** (1 - l), a), (r ** (2 - l), da))
+                              for l, (a, da) in enumerate(shell_alphas)])[:, None, None]
+    weighted = np.stack([(sampled(weighted_unit[l] * a * r ** (1 - l) * (2 - l), env_shell),
+                          sampled(weighted_unit[l] * da * r ** (2 - l), env_shell))
                          for l, (a, da) in enumerate(shell_alphas)], axis=1)
     alpha_shell = np.stack([sampled(a, env_shell) for a, _ in shell_alphas])
     profile_full = profile(env_full)
@@ -201,7 +202,7 @@ def check_hypotheses(spec):
     rows = [
         ("shell_outer", outer, gap_outer, outer_terms, gap_outer[0].min(), outer_unit),
         ("shell_inner", inner, gap_inner, inner_terms, gap_inner[-1].min(), inner_unit),
-        ("weighted_monotone", shell, -(weighted[0] + weighted[1]), weighted, None),
+        ("weighted_monotone", shell, -(weighted[0] + weighted[1]), weighted, None, weighted_unit),
         ("alpha_positive", shell, alpha_shell, None, None),
         ("profile_positive", full, profile_full, None, None),
         ("profile_above_one_inside", inner, profile(env_inner) - 1.0, None, None),
@@ -264,18 +265,19 @@ class NewtonResult:
 def newton_solve(spec, rho0, t):
     """Newton on the nodal radii at fixed homotopy time t.
 
-    Each step builds the Jacobian at the current iterate and its ring-mean
-    preconditioner (`spla.splu`, see `linsolve`), and solves J delta = -F
-    by GMRES to the relative forcing `linsolve.GMRES_RTOL`.  The step
-    backtracks by halving until the trial iterate is admissible and the
-    residual max-norm strictly decreases.  Stops at the spec's newton_tol,
-    after NEWTON_MAX_ITER steps, or at a step that finds no decrease
-    (stagnation) or no admissible trial (cone exit) in MAX_BACKTRACKS
-    halvings.  Raises nothing of its own: a failed solve returns the last
-    accepted iterate and its norms, with `reason` saying which stop it hit.
+    Each step builds the Jacobian on the geometry that the iterate's
+    residual evaluation formed, and its ring-mean preconditioner
+    (`spla.splu`, see `linsolve`), and solves J delta = -F by GMRES to the
+    relative forcing `linsolve.GMRES_RTOL`.  The step backtracks by halving
+    until the trial iterate is admissible and the residual max-norm strictly
+    decreases.  Stops at the spec's newton_tol, after NEWTON_MAX_ITER steps,
+    or at a step that finds no decrease (stagnation) or no admissible trial
+    (cone exit) in MAX_BACKTRACKS halvings.  Raises nothing of its own: a
+    failed solve returns the last accepted iterate and its norms, with
+    `reason` saying which stop it hit.
     """
     rho = spec.grid.check_field(rho0).copy()
-    res = residual_field(spec, rho, t)
+    geom, res = residual_field(spec, rho, t)
     norms = [float(np.abs(res).max())]
     step_norms = []
     linear_iters = 0
@@ -286,7 +288,8 @@ def newton_solve(spec, rho0, t):
             reason = (f"not converged after {NEWTON_MAX_ITER} iterations "
                       f"(t={t:.4f}, |F|={norms[-1]:.3e})")
             break
-        delta, gmres_iters = spla.splu(jacobian(spec, rho, t)).solve(-res)
+        delta, gmres_iters = spla.splu(jacobian(spec, geom, t)).solve(-res)
+        del geom  # read by the Jacobian alone; the line search runs without it
         linear_iters += gmres_iters
 
         saw_admissible = False
@@ -295,7 +298,7 @@ def newton_solve(spec, rho0, t):
             if not np.all(trial > 0.0):
                 continue
             try:
-                trial_res = residual_field(spec, trial, t)
+                geom, trial_res = residual_field(spec, trial, t)
             except AdmissibilityError:
                 continue
             saw_admissible = True
@@ -310,8 +313,7 @@ def newton_solve(spec, rho0, t):
             break
 
         step_norms.append(float(np.abs(trial - rho).max()))
-        rho = trial
-        res = trial_res
+        rho, res = trial, trial_res
         norms.append(float(np.abs(res).max()))
 
     iterations = len(norms) - 1

@@ -15,8 +15,9 @@ The residual is the left side minus the right side.  It reads the nodal
 radii only through the value and the five derivative jets of rho at each
 node, so its Jacobian is the chain rule: per-node partials with respect to
 each jet, times the grid's fixed derivative stencils.  It is kept
-matrix-free, as those partials, and applied to a field through the same
-stencils that build the jets.
+matrix-free, as those partials, formed from the GeometryState that
+`residual_field` returns with the residual, and applied to a field
+through the same stencils that build the jets.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import evaluate, parse, ray_slope
-from .spheregeom import SphereGrid, _curvatures, _raw_derivatives, first_node, geometry
+from .spheregeom import SphereGrid, _raw_derivatives, first_node, forms, geometry
 
 
 class AdmissibilityError(ArithmeticError):
@@ -114,8 +115,9 @@ def residual(spec, geom, t):
 
 
 def residual_field(spec, rho, t):
-    """Residual of a radius field: geometry plus residual in one call."""
-    return residual(spec, geometry(spec.grid, rho), t)
+    """A radius field evaluated: its GeometryState and its residual."""
+    geom = geometry(spec.grid, rho)
+    return geom, residual(spec, geom, t)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ class Linearization:
 
 def _form_partials(rho, w, g, h, t_alpha0, sigma1, sigma2):
     """dF/dg and the second-jet partials -(rho/w) dF/dh per node, each as
-    (tt, tp, pp), from the forms g and h of `_curvatures`.  The curvature
+    (tt, tp, pp), from g and h as `forms` gives them.  The curvature
     part of the residual is the quotient (det h - t alpha_0 det g) / D,
     D = g_pp h_tt - 2 g_tp h_tp + g_tt h_pp = det g * sigma_1."""
     quotient = (sigma2 - t_alpha0) / sigma1
@@ -160,8 +162,8 @@ def _form_partials(rho, w, g, h, t_alpha0, sigma1, sigma2):
     )
 
 
-def jacobian(spec, rho, t):
-    """The Jacobian of the residual at rho, as a `Linearization`.
+def jacobian(spec, geom, t):
+    """The Jacobian of the residual at the iterate `geom`, as a `Linearization`.
 
     The residual reads the jets only through the fundamental forms g and
     h, so by the chain rule each partial dF/dq_m contracts dF/dg and dF/dh
@@ -169,16 +171,14 @@ def jacobian(spec, rho, t):
     rho_t^2, rho_t rho_p, rho^2 sin^2 + rho_p^2) and of h = (rho/w) B,
     w = sqrt(rho^2 + |D rho|^2), whose B is linear in the second jets.
     The coefficients' slope in the radius is `ray_slope`'s, one per
-    coefficient.  Raises AdmissibilityError where sigma_1 <= 0, as
-    `residual` does.
+    coefficient.  From `geom` only w, g and h are formed again.  Raises
+    AdmissibilityError where sigma_1 <= 0, as `residual` does.
     """
-    grid = spec.grid
-    rho = grid.check_field(rho)
+    grid, rho, sigma2 = geom.grid, geom.rho, geom.sigma2
+    sigma1 = _admissible_sigma1(geom.sigma1)
     with np.errstate(all="ignore"):
-        jets = _raw_derivatives(grid, rho)
-        w, g, h, sigma1, sigma2 = _curvatures(grid, rho, jets)
-    _admissible_sigma1(sigma1)
-    r_t, r_p = jets[:2]
+        w, g, h = forms(grid, rho, geom.jets)
+    r_t, r_p = geom.jets[:2]
     env = grid.node_env(rho)
     (alpha0, d_alpha0), (_, d_alpha1), (phi, d_phi) = (
         ray_slope(node, env, key)

@@ -8,15 +8,14 @@ value(-theta, phi) = value(theta, phi + pi).  They are defined once, by
 slicing a padded field (`_raw_derivatives`); the Jacobian applies the same
 slices to a direction, and its preconditioner reads their weights off the
 response to a unit impulse.  Curvature is closed-form 2x2 algebra applied
-node by node to rho and its jets, in one pass (`_curvatures`) that forms
-w and the fundamental forms g and h once: sigma_1 = D / det g, with D =
-g_pp h_tt - 2 g_tp h_tp + g_tt h_pp, and sigma_2 = det h / det g, with no
-square root or eigenvalue.  The residual and the Jacobian read that pass;
-the shape operator S = g^-1 h is built only for `kappa`, on request.
-The kernel runs as a chain of small steps whose temporaries die as each
-step returns, so it holds a few grid-sized arrays at a time.  A
-GeometryState keeps what the solver's a priori bounds and residual read:
-rho and its jets, sigma_1, sigma_2 and the support function.
+node by node to rho and its jets: `forms` builds w and the fundamental
+forms g and h, and the one curvature pass (`_curvatures`) reduces them to
+sigma_1 = D / det g, D = g_pp h_tt - 2 g_tp h_tp + g_tt h_pp, and sigma_2
+= det h / det g, with no square root or eigenvalue.  Only `geometry`
+applies the stencils and runs that pass; its GeometryState (rho, its
+jets, sigma_1, sigma_2 and the support function) is what the residual,
+the Jacobian and the a priori bounds read.  The kernel's steps return
+only what the next one reads, so it holds a few grid arrays at a time.
 """
 
 from __future__ import annotations
@@ -94,8 +93,7 @@ class SphereGrid:
         return st * cp, st * sp, ct * np.ones_like(cp)
 
     def node_env(self, rho):
-        """EvalEnv with the ambient coordinates of every node."""
-        rho = self.check_field(rho)
+        """EvalEnv with the ambient coordinates of every node of the field rho."""
         d1, d2, d3 = self.directions()
         return EvalEnv(rho, rho * d1, rho * d2, rho * d3)
 
@@ -118,8 +116,8 @@ def _raw_derivatives(grid, field):
 class GeometryState:
     """The fields of one radial graph that the solver reads, per node: rho
     (the C0 barrier bound), its jets (the Jacobian), sigma_1 and sigma_2
-    of the principal curvatures (the C2 bound, the cone and the residual)
-    and the support function (the C1 bound)."""
+    of the principal curvatures (the C2 bound, the cone, the residual and
+    the Jacobian) and the support function (the C1 bound)."""
 
     grid: SphereGrid
     rho: np.ndarray
@@ -135,9 +133,7 @@ class GeometryState:
         adj(g) h / det g; the solver never reads them.  Trace and
         discriminant are formed from the s_ij, not from sigma_1 and
         sigma_1^2 - 4 sigma_2, which cancels at umbilic points."""
-        _, (g_tt, g_tp, g_pp), (h_tt, h_tp, h_pp), _, _ = _curvatures(
-            self.grid, self.rho, self.jets
-        )
+        _, (g_tt, g_tp, g_pp), (h_tt, h_tp, h_pp) = forms(self.grid, self.rho, self.jets)
         det = g_tt * g_pp - g_tp * g_tp
         s_tt = (g_pp * h_tt - g_tp * h_tp) / det
         s_tp = (g_pp * h_tp - g_tp * h_pp) / det
@@ -190,24 +186,28 @@ def first_node(mask):
     return tuple(np.argwhere(mask)[0].tolist()) if mask.any() else None
 
 
+def forms(grid, rho, jets):
+    """w, g = (g_tt, g_tp, g_pp) and h = (h_tt, h_tp, h_pp) from rho and its jets."""
+    w = _norm(grid, rho, jets[0], jets[1])
+    return w, _metric_parts(grid, rho, jets[0], jets[1]), _second_form_parts(grid, rho, jets, w)
+
+
 def _curvatures(grid, rho, jets):
-    """The kernel's one pass: w, g = (g_tt, g_tp, g_pp), h = (h_tt, h_tp,
-    h_pp), sigma_1 = D / det g and sigma_2 = det h / det g.  Raises
-    ValueError at the first node where rho is not positive, then
-    FloatingPointError at the first where either sigma is not finite."""
+    """The kernel's one curvature pass: w, sigma_1 = D / det g and sigma_2
+    = det h / det g.  Raises ValueError at the first node where rho is not
+    positive, then FloatingPointError at the first where either sigma is
+    not finite."""
     bad = first_node(rho <= 0.0)
     if bad is not None:
         raise ValueError(f"rho must be positive, violated at node {bad}")
-    w = _norm(grid, rho, jets[0], jets[1])
-    g = g_tt, g_tp, g_pp = _metric_parts(grid, rho, jets[0], jets[1])
-    h = h_tt, h_tp, h_pp = _second_form_parts(grid, rho, jets, w)
+    w, (g_tt, g_tp, g_pp), (h_tt, h_tp, h_pp) = forms(grid, rho, jets)
     det = g_tt * g_pp - g_tp * g_tp
     sigma1 = (g_pp * h_tt - 2.0 * g_tp * h_tp + g_tt * h_pp) / det
     sigma2 = (h_tt * h_pp - h_tp * h_tp) / det
     bad = first_node(~(np.isfinite(sigma1) & np.isfinite(sigma2)))
     if bad is not None:
         raise FloatingPointError(f"non-finite curvature at node {bad}")
-    return w, g, h, sigma1, sigma2
+    return w, sigma1, sigma2
 
 
 def local_geometry(grid, rho, jets):
@@ -216,7 +216,7 @@ def local_geometry(grid, rho, jets):
     applied here, so any jet may be perturbed on its own.  sigma_1 and
     sigma_2 come from `_curvatures`, with its errors.
     """
-    w, _, _, sigma1, sigma2 = _curvatures(grid, rho, jets)
+    w, sigma1, sigma2 = _curvatures(grid, rho, jets)
     return GeometryState(grid, rho, tuple(jets), sigma1, sigma2, rho * rho / w)
 
 

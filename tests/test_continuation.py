@@ -182,6 +182,17 @@ def test_a_huge_but_finite_barrier_term_is_certified():
     assert report.passed
 
 
+@pytest.mark.parametrize("scale", ["1e300", "1e308"])
+def test_a_weighted_slope_whose_terms_overflow_is_certified(scale):
+    # rho^2 alpha_0 is constant, so its weighted slope is exactly 0; at
+    # 1e308 both of its terms, 2 rho alpha_0 and rho^2 alpha_0', reach
+    # +-2e308 at rho = 4, and the row is decided as at 1e300
+    spec = ProblemSpec(r1=4.0, r2=16.0, alphas=(f"({scale}/rho)*(4/rho)", "1/rho"),
+                       phi="10/rho", grid=SphereGrid(4, 8))
+    entry = check_hypotheses(spec).entries["weighted_monotone"]
+    assert entry.passed and math.isfinite(entry.margin)
+
+
 def count_evaluate(monkeypatch, budget=None):
     """Record the key of every call to `continuation.evaluate`, the name
     the benchmark's layer tracer binds, and to `continuation.ray_slope`,

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from weingarten import curvop, spheregeom
-from weingarten.continuation import MAX_BACKTRACKS, NEWTON_MAX_ITER, T_STEP_MIN
+from weingarten import continuation, curvop, spheregeom
+from weingarten.continuation import MAX_BACKTRACKS, NEWTON_MAX_ITER, T_STEP_MIN, newton_solve
 from weingarten.curvop import (
     AdmissibilityError,
     ProblemSpec,
@@ -109,7 +109,7 @@ def test_residual_on_round_spheres_matches_closed_form():
     spec = benchmark_spec()
     for R in (1.5, 2.0, 2.5, 3.0, 3.5):
         for t in (0.0, 0.3, 0.7, 1.0):
-            res = residual_field(spec, np.full(spec.grid.shape, R), t)
+            _, res = residual_field(spec, np.full(spec.grid.shape, R), t)
             want = radial_residual(R, t)
             assert np.abs(res - want).max() < 1e-13
             # constant data must give a constant residual
@@ -120,13 +120,13 @@ def test_residual_benchmark_values():
     spec = benchmark_spec()
     shape = spec.grid.shape
     # F(2, 0) = 1/4 - 1.25/4 = -0.0625
-    res = residual_field(spec, np.full(shape, 2.0), 0.0)
+    _, res = residual_field(spec, np.full(shape, 2.0), 0.0)
     assert np.abs(res - (-0.0625)).max() < 1e-14
     # rho = 2.5 solves the t=0 problem
-    res = residual_field(spec, np.full(shape, 2.5), 0.0)
+    _, res = residual_field(spec, np.full(shape, 2.5), 0.0)
     assert np.abs(res).max() < 1e-14
     # rho = 2 solves the t=1 problem
-    res = residual_field(spec, np.full(shape, 2.0), 1.0)
+    _, res = residual_field(spec, np.full(shape, 2.0), 1.0)
     assert np.abs(res).max() < 1e-14
 
 
@@ -140,7 +140,7 @@ def test_residual_rejects_inadmissible_field():
     assert exc.value.node is not None
     # the Jacobian refuses the same field, at the same node
     with pytest.raises(AdmissibilityError) as jac_exc:
-        jacobian(spec, bad, 1.0)
+        jacobian(spec, geometry(spec.grid, bad), 1.0)
     assert jac_exc.value.node == exc.value.node
 
 
@@ -174,7 +174,7 @@ def test_bad_field_errors_name_the_node_as_plain_ints(case, error):
         residual_field(spec, rho, 1.0)
     if case != "overflow":  # the Jacobian does not evaluate the residual
         with np.errstate(all="ignore"), pytest.raises(error, match=r"at node \(\d+, \d+\)"):
-            jacobian(spec, rho, 1.0)
+            jacobian(spec, geometry(spec.grid, rho), 1.0)
 
 
 def test_jacobian_constant_direction_matches_radial_slope_on_fine_grid():
@@ -185,7 +185,7 @@ def test_jacobian_constant_direction_matches_radial_slope_on_fine_grid():
     ones = np.ones(grid.shape)
     for R in (1.5, 2.5, 3.5):
         for t in (0.0, 0.5, 1.0):
-            J = jacobian(spec, np.full(grid.shape, R), t)
+            J = jacobian(spec, geometry(grid, np.full(grid.shape, R)), t)
             want = radial_residual_slope(R, t)
             assert np.abs(J.matvec(ones) - want).max() <= 1e-8 * abs(want)
 
@@ -195,7 +195,7 @@ def test_jacobian_row_action_on_constant_direction():
     # row of the Jacobian applies it to the constant direction
     spec = benchmark_spec()
     rho = np.full(spec.grid.shape, 2.5)
-    J = jacobian(spec, rho, 0.0)
+    J = jacobian(spec, geometry(spec.grid, rho), 0.0)
     row_sums = J.matvec(np.ones(spec.grid.shape))
     assert np.abs(row_sums - 0.08).max() < 1e-5
 
@@ -214,9 +214,9 @@ def test_jacobian_matvec_against_directional_difference(ntheta, nphi, h):
     ph = grid.phi[None, :]
     rho = 2.5 + 0.1 * np.cos(th) + 0.05 * np.sin(th) * np.cos(ph)
     direction = 0.3 * np.sin(th) * np.sin(ph) + 0.2 * np.cos(th)
-    J = jacobian(spec, rho, 0.4)
-    fp = residual_field(spec, rho + h * direction, 0.4)
-    fm = residual_field(spec, rho - h * direction, 0.4)
+    J = jacobian(spec, geometry(grid, rho), 0.4)
+    _, fp = residual_field(spec, rho + h * direction, 0.4)
+    _, fm = residual_field(spec, rho - h * direction, 0.4)
     fd = (fp - fm) / (2.0 * h)
     got = J.matvec(direction)
     assert np.abs(got - fd).max() < 1e-5
@@ -252,7 +252,7 @@ def test_jacobian_partials_match_per_jet_differences(ntheta, nphi, t):
     th = grid.theta[:, None]
     ph = grid.phi[None, :]
     rho = 2.5 + 0.1 * np.cos(th) + 0.05 * np.sin(th) * np.cos(ph)
-    partials = jacobian(spec, rho, t).partials
+    partials = jacobian(spec, geometry(grid, rho), t).partials
     for m, want in enumerate(jet_differences(spec, rho, t)):
         assert np.abs(partials[m] - want).max() <= 1e-6 * np.abs(want).max(), m
 
@@ -267,12 +267,14 @@ def test_jacobian_evaluates_the_coefficients_a_few_times(monkeypatch):
 
         monkeypatch.setattr(curvop, name, counting)
     spec = benchmark_spec()
-    jacobian(spec, np.full(spec.grid.shape, 2.5), 0.5)
+    jacobian(spec, geometry(spec.grid, np.full(spec.grid.shape, 2.5)), 0.5)
     assert sorted(calls) == [("ray_slope", key) for key in ("alpha0", "alpha1", "phi")]
 
 
 def test_jacobian_forms_w_g_and_h_once(monkeypatch):
-    # the partials take w, g and h from the one curvature pass
+    # the partials form w, g and h once from the state's jets
+    spec = benchmark_spec(grid=SphereGrid(8, 16))
+    state = geometry(spec.grid, np.full(spec.grid.shape, 2.5))
     calls = []
     for name in ("_norm", "_metric_parts", "_second_form_parts"):
         for module in (spheregeom, curvop):
@@ -282,17 +284,41 @@ def test_jacobian_forms_w_g_and_h_once(monkeypatch):
                     return _form(*args)
 
                 monkeypatch.setattr(module, name, counting)
-    spec = benchmark_spec(grid=SphereGrid(8, 16))
-    jacobian(spec, np.full(spec.grid.shape, 2.5), 0.5)
+    jacobian(spec, state, 0.5)
     assert sorted(calls) == ["_metric_parts", "_norm", "_second_form_parts"]
 
 
+def test_newton_runs_one_curvature_pass_per_residual_evaluation(monkeypatch):
+    # each Jacobian reads the geometry of its iterate's residual evaluation
+    passes, evaluations = [], []
+    for module in (spheregeom, curvop):
+        if hasattr(module, "_curvatures"):
+            def counting(*args, _pass=module._curvatures):
+                passes.append(1)
+                return _pass(*args)
+
+            monkeypatch.setattr(module, "_curvatures", counting)
+
+    def evaluating(*args, _evaluate=continuation.residual_field):
+        evaluations.append(1)
+        return _evaluate(*args)
+
+    monkeypatch.setattr(continuation, "residual_field", evaluating)
+    spec = ProblemSpec(
+        r1=1.0, r2=4.0, alphas=(TILTED_ALPHA0, ALPHA1), phi=PROFILE, grid=SphereGrid(16, 32),
+    )
+    result = newton_solve(spec, np.full(spec.grid.shape, 2.5), 1.0)
+    assert result.converged and result.iterations > 1
+    assert len(passes) == len(evaluations)
+
+
 @pytest.mark.parametrize("call, bound", [
-    ("geometry", 20.5), ("residual_field", 20.5), ("jacobian", 32.5),
+    ("geometry", 20.5), ("residual_field", 20.5), ("jacobian", 25.5),
 ])
 def test_kernel_peak_memory_in_grid_arrays(call, bound):
     # traced peak of one warm call at 64x128, in units of one grid array;
-    # a GeometryState keeps its jets, sigma_1, sigma_2 and the support
+    # a GeometryState keeps its jets, sigma_1, sigma_2 and the support, and
+    # the Jacobian's state is built before tracing starts
     grid = SphereGrid(64, 128)
     spec = ProblemSpec(
         r1=1.0, r2=4.0, alphas=(TILTED_ALPHA0, ALPHA1), phi=PROFILE, grid=grid,
@@ -300,10 +326,11 @@ def test_kernel_peak_memory_in_grid_arrays(call, bound):
     th = grid.theta[:, None]
     ph = grid.phi[None, :]
     rho = 2.0 + 0.1 * np.cos(th) + 0.05 * np.sin(th) * np.cos(ph)
+    state = geometry(grid, rho)
     run = {
         "geometry": lambda: geometry(grid, rho),
         "residual_field": lambda: residual_field(spec, rho, 0.5),
-        "jacobian": lambda: jacobian(spec, rho, 0.5),
+        "jacobian": lambda: jacobian(spec, state, 0.5),
     }[call]
     run()
     tracemalloc.start()
@@ -323,9 +350,9 @@ def test_jacobian_phi_shift_commutes_exactly():
     th = grid.theta[:, None]
     ph = grid.phi[None, :]
     rho = 2.5 + 0.1 * np.cos(th) + 0.05 * np.sin(th) * np.cos(ph)
-    J = as_matrix(jacobian(spec, rho, 0.3))
+    J = as_matrix(jacobian(spec, geometry(grid, rho), 0.3))
     rolled = np.roll(rho, 1, axis=1)
-    J_rolled = as_matrix(jacobian(spec, rolled, 0.3))
+    J_rolled = as_matrix(jacobian(spec, geometry(grid, rolled), 0.3))
     # perm maps each node to its phi-neighbor, so J_rolled[perm r, perm q]
     # must reproduce J entry for entry
     perm = np.roll(
@@ -338,8 +365,8 @@ def test_jacobian_is_deterministic():
     spec = benchmark_spec()
     th = spec.grid.theta[:, None]
     rho = 2.5 + 0.1 * np.cos(th) + np.zeros(spec.grid.shape)
-    a = jacobian(spec, rho, 0.6)
-    b = jacobian(spec, rho, 0.6)
+    a = jacobian(spec, geometry(spec.grid, rho), 0.6)
+    b = jacobian(spec, geometry(spec.grid, rho), 0.6)
     assert np.array_equal(a.partials, b.partials)
     assert np.array_equal(as_matrix(a), as_matrix(b))
 

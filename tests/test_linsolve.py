@@ -13,7 +13,7 @@ import pytest
 from weingarten import linsolve
 from weingarten.continuation import continue_to_one
 from weingarten.curvop import ProblemSpec, jacobian
-from weingarten.spheregeom import SphereGrid
+from weingarten.spheregeom import SphereGrid, geometry
 
 ALPHA1 = "0.25/rho"
 PROFILE = "2.5/rho"
@@ -52,7 +52,7 @@ def test_ring_mean_solve_matches_a_dense_solve(ntheta, nphi):
     # of a tilted iterate vary along each ring, so the ring mean differs
     # from J
     grid = SphereGrid(ntheta, nphi)
-    jac = jacobian(spec_on(grid, TILTED_ALPHA0), tilted_field(grid), 0.7)
+    jac = jacobian(spec_on(grid, TILTED_ALPHA0), geometry(grid, tilted_field(grid)), 0.7)
     means = jac.partials.mean(axis=2, keepdims=True)
     ring_mean = replace(jac, partials=np.broadcast_to(means, jac.partials.shape))
     rhs = np.random.default_rng(ntheta).normal(size=grid.shape)
@@ -64,7 +64,7 @@ def test_ring_mean_solve_matches_a_dense_solve(ntheta, nphi):
 def test_preconditioner_inverts_an_axisymmetric_jacobian():
     grid = SphereGrid(32, 64)
     rho = 2.2 + 0.1 * np.cos(grid.theta)[:, None] + np.zeros(grid.shape)
-    jac = jacobian(spec_on(grid, RADIAL_ALPHA0), rho, 0.6)
+    jac = jacobian(spec_on(grid, RADIAL_ALPHA0), geometry(grid, rho), 0.6)
     v = np.random.default_rng(1).normal(size=grid.shape)
     got = linsolve.splu(jac).precondition(jac.matvec(v))
     assert np.abs(got - v).max() <= 1e-10 * np.abs(v).max()
@@ -72,7 +72,7 @@ def test_preconditioner_inverts_an_axisymmetric_jacobian():
 
 def test_gmres_meets_its_forcing_on_a_tilted_jacobian():
     grid = SphereGrid(32, 64)
-    jac = jacobian(spec_on(grid, TILTED_ALPHA0), tilted_field(grid), 1.0)
+    jac = jacobian(spec_on(grid, TILTED_ALPHA0), geometry(grid, tilted_field(grid)), 1.0)
     b = np.random.default_rng(2).normal(size=grid.shape)
     x, iterations = linsolve.splu(jac).solve(b)
     assert 0 < iterations < linsolve.GMRES_MAXITER
@@ -106,7 +106,7 @@ def lstsq_gmres(matvec, precondition, b):
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_givens_gmres_matches_a_least_squares_gmres(seed):
     grid = SphereGrid(32, 64)
-    jac = jacobian(spec_on(grid, TILTED_ALPHA0), tilted_field(grid), 1.0)
+    jac = jacobian(spec_on(grid, TILTED_ALPHA0), geometry(grid, tilted_field(grid)), 1.0)
     solver = linsolve.splu(jac)
     b = np.random.default_rng(seed).normal(size=grid.shape)
     x, iterations = linsolve.gmres(jac.matvec, solver.precondition, b)
