@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import linsolve as spla
-from .curvop import AdmissibilityError, jacobian, nonnegative, residual_field
+from .curvop import AdmissibilityError, jacobian, nonnegative, residual, residual_field
 from .exprlang import EvalEnv, evaluate, ray_slope
-from .spheregeom import SphereGrid, geometry
+from .spheregeom import GeometryState, SphereGrid, geometry
 
 #: radius samples per shell band; the full band [r1/2, 2 r2] gets twice as many
 SAMPLES = 48
@@ -250,8 +250,8 @@ def initial_solution(spec):
 class NewtonResult:
     """Outcome of one corrector solve: the last accepted iterate, residual
     max-norms before and after each step, max-norms of the steps taken;
-    `linear_iters` counts GMRES steps.  `reason` is None on convergence and
-    otherwise says why the solve stopped."""
+    `linear_iters` counts GMRES steps.  `reason` says why a failed solve
+    stopped and `geom` is a converged one's GeometryState; each is None otherwise."""
 
     rho: np.ndarray
     iterations: int
@@ -260,10 +260,11 @@ class NewtonResult:
     converged: bool
     linear_iters: int
     reason: str | None = None
+    geom: GeometryState | None = None
 
 
-def newton_solve(spec, rho0, t):
-    """Newton on the nodal radii at fixed homotopy time t.
+def newton_solve(spec, start, t):
+    """Newton on the nodal radii at homotopy time t, from the GeometryState `start`.
 
     Each step builds the Jacobian on the geometry that the iterate's
     residual evaluation formed, and its ring-mean preconditioner
@@ -276,8 +277,7 @@ def newton_solve(spec, rho0, t):
     failed solve returns the last accepted iterate and its norms, with
     `reason` saying which stop it hit.
     """
-    rho = spec.grid.check_field(rho0).copy()
-    geom, res = residual_field(spec, rho, t)
+    rho, geom, res = start.rho, start, residual(spec, start, t)
     norms = [float(np.abs(res).max())]
     step_norms = []
     linear_iters = 0
@@ -316,8 +316,8 @@ def newton_solve(spec, rho0, t):
         rho, res = trial, trial_res
         norms.append(float(np.abs(res).max()))
 
-    iterations = len(norms) - 1
-    return NewtonResult(rho, iterations, norms, step_norms, reason is None, linear_iters, reason)
+    return NewtonResult(rho, len(norms) - 1, norms, step_norms, reason is None, linear_iters,
+                        reason, geom if reason is None else None)
 
 
 @dataclass
@@ -402,8 +402,8 @@ def monitors(spec, geom):
     return values, violations
 
 
-def _record_step(spec, rho, t, newton, wall_ms):
-    values, violations = monitors(spec, geometry(spec.grid, rho))
+def _record_step(spec, t, newton, wall_ms):
+    values, violations = monitors(spec, newton.geom)
     return SolveStep(
         t=t,
         newton_iters=newton.iterations,
@@ -426,36 +426,36 @@ def continue_to_one(spec, callback=None):
     target is t + dt, with dt the whole interval at first, halved after
     each failed solve and never grown again; a step below T_STEP_MIN
     aborts with ContinuationFailure, which carries the last failed solve's
-    NewtonResult and its `reason`.  Each step is corrected by
-    Newton (`newton_solve`) from the field of the last accepted step.
-    Returns the final field and a SolveReport with one row per accepted
-    step, the t=0 solve included.
+    NewtonResult and its `reason`.  Each step is corrected by Newton
+    (`newton_solve`) from the GeometryState of the last accepted step,
+    which that step's monitors read.  Returns the final field and a
+    SolveReport with one row per accepted step, the t=0 solve included.
     """
     hypothesis = check_hypotheses(spec)
     if not hypothesis.passed:
         raise HypothesisError(hypothesis)
 
-    rho = initial_solution(spec)
-    steps = []
+    state = geometry(spec.grid, initial_solution(spec))
+    report = SolveReport([], hypothesis)
     t = target = 0.0
     dt = 1.0
     while t < 1.0:
         begin = time.perf_counter()
-        newton = newton_solve(spec, rho, target)
+        newton = newton_solve(spec, state, target)
         wall_ms = 1e3 * (time.perf_counter() - begin)
 
         if newton.reason is not None:
             dt *= 0.5
-            if not steps or dt < T_STEP_MIN:
-                raise ContinuationFailure(t, target, rho, SolveReport(steps, hypothesis), newton)
+            if not report.steps or dt < T_STEP_MIN:
+                raise ContinuationFailure(t, target, state.rho, report, newton)
         else:
-            rho, t = newton.rho, target
-            step = _record_step(spec, rho, t, newton, wall_ms)
-            steps.append(step)
+            state, t = newton.geom, target
+            step = _record_step(spec, t, newton, wall_ms)
+            report.steps.append(step)
             if callback is not None:
                 callback(step)
         # dt is a power of two no larger than any accepted step, so t is a
         # multiple of it and t + dt lands on 1.0 exactly, never beyond
         target = t + dt
 
-    return rho, SolveReport(steps, hypothesis)
+    return state.rho, report

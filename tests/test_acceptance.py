@@ -186,7 +186,7 @@ def test_c5_start_problem_has_one_nearby_solution():
         bump = sum(c * m for c, m in zip(coeff, modes))
         bump /= np.abs(bump).max()
         rho0 = 2.5 * (1.0 + 0.05 * bump)
-        result = newton_solve(spec, rho0, 0.0)
+        result = newton_solve(spec, geometry(spec.grid, rho0), 0.0)
         assert result.converged, f"trial {trial} did not converge"
         assert np.abs(result.rho - 2.5).max() < 1e-8
     elapsed = time.perf_counter() - begin

@@ -343,10 +343,11 @@ def test_solve_stall_after_t0_names_its_target(tmp_path, capsys, monkeypatch):
     # down to 2^-13 before the step floor, and the last line says so
     newton_solve = continuation.newton_solve
 
-    def stagnating(spec, rho, t):
+    def stagnating(spec, start, t):
         if t > 0.0:
-            return continuation.NewtonResult(rho, 0, [1.0], [], False, 0, "StagnationError: stubbed")
-        return newton_solve(spec, rho, t)
+            return continuation.NewtonResult(start.rho, 0, [1.0], [], False, 0,
+                                             "StagnationError: stubbed")
+        return newton_solve(spec, start, t)
 
     monkeypatch.setattr(continuation, "newton_solve", stagnating)
     cfg = write_cfg(tmp_path)

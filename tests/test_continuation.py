@@ -302,7 +302,7 @@ def test_initializer_lands_within_one_float_of_the_crossing(s):
     spec = dilated_benchmark(s)
     rho0 = initial_solution(spec)
     assert np.all(np.abs(rho0 - 2.5 * s) <= np.spacing(2.5 * s))
-    assert newton_solve(spec, rho0, 0.0).iterations == 0
+    assert newton_solve(spec, geometry(spec.grid, rho0), 0.0).iterations == 0
 
 
 def test_initializer_requires_profile_crossing():
@@ -312,7 +312,7 @@ def test_initializer_requires_profile_crossing():
 
 def test_newton_converges_from_nearby_sphere():
     spec = benchmark_spec()
-    result = newton_solve(spec, np.full(spec.grid.shape, 2.6), 0.0)
+    result = newton_solve(spec, geometry(spec.grid, np.full(spec.grid.shape, 2.6)), 0.0)
     assert result.converged
     assert result.iterations <= 10
     assert np.abs(result.rho - 2.5).max() < 1e-8
@@ -323,7 +323,7 @@ def test_newton_converges_from_nearby_sphere():
 
 def test_newton_converges_at_final_time():
     spec = benchmark_spec()
-    result = newton_solve(spec, np.full(spec.grid.shape, 2.2), 1.0)
+    result = newton_solve(spec, geometry(spec.grid, np.full(spec.grid.shape, 2.2)), 1.0)
     assert result.converged
     assert np.abs(result.rho - 2.0).max() < 1e-6
 
@@ -331,7 +331,7 @@ def test_newton_converges_at_final_time():
 def test_newton_reports_nonconvergence_without_raising(monkeypatch):
     monkeypatch.setattr(continuation, "NEWTON_MAX_ITER", 1)
     spec = benchmark_spec()
-    result = newton_solve(spec, np.full(spec.grid.shape, 3.2), 1.0)
+    result = newton_solve(spec, geometry(spec.grid, np.full(spec.grid.shape, 3.2)), 1.0)
     assert not result.converged
     assert result.iterations == 1
     # the one step taken, as it moved the field
@@ -342,7 +342,7 @@ def test_newton_stagnates_without_backtracking(monkeypatch):
     # from 3.9 the full step overshoots and no halving is allowed
     monkeypatch.setattr(continuation, "MAX_BACKTRACKS", 0)
     spec = benchmark_spec()
-    result = newton_solve(spec, np.full(spec.grid.shape, 3.9), 1.0)
+    result = newton_solve(spec, geometry(spec.grid, np.full(spec.grid.shape, 3.9)), 1.0)
     assert result.reason == (
         "StagnationError: no residual decrease after 0 halvings (t=1.0000, |F|=1.218e-02)"
     )
@@ -357,7 +357,7 @@ def test_newton_reports_a_cone_exit():
     # on the sphere of radius 600 the Newton step for the radius is about
     # -1.8e5, so even 2^-8 of it leaves every node at a negative radius
     spec = benchmark_spec()
-    result = newton_solve(spec, np.full(spec.grid.shape, 600.0), 1.0)
+    result = newton_solve(spec, geometry(spec.grid, np.full(spec.grid.shape, 600.0)), 1.0)
     assert result.reason == (
         "ConeExitError: no admissible iterate along the Newton direction (t=1.0000)"
     )
@@ -422,12 +422,13 @@ def test_continuation_halves_after_a_failed_solve_and_never_grows(monkeypatch):
     # the rest of the interval, halves until a step holds, then keeps it
     attempted, accepted = [], []
 
-    def short_sighted_newton_solve(spec, rho, t):
+    def short_sighted_newton_solve(spec, start, t):
         attempted.append(t)
         if t - (accepted[-1] if accepted else 0.0) > 0.3:
-            return NewtonResult(rho, 0, [1.0], [], False, 0, "StagnationError: step too long")
+            return NewtonResult(start.rho, 0, [1.0], [], False, 0,
+                                "StagnationError: step too long")
         accepted.append(t)
-        return newton_solve(spec, rho, t)
+        return newton_solve(spec, start, t)
 
     monkeypatch.setattr(continuation, "newton_solve", short_sighted_newton_solve)
     rho, report = continue_to_one(benchmark_spec(grid=SphereGrid(8, 16)))
@@ -583,7 +584,7 @@ def test_monitors_name_each_violated_condition():
     assert values["sigma2_min"] == dented_geom.sigma2.min()
 
     # the solve path reports the same messages
-    newton = NewtonResult(outside.rho, 0, [0.0], [], True, 0)
-    step = _record_step(spec, outside.rho, 1.0, newton, 0.0)
+    newton = NewtonResult(outside.rho, 0, [0.0], [], True, 0, geom=outside)
+    step = _record_step(spec, 1.0, newton, 0.0)
     assert step.monitor_warnings == monitors(spec, outside)[1]
     assert step.in_gamma_k and step.rho_min == 4.4

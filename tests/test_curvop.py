@@ -3,11 +3,14 @@ the matrix-free Jacobian's accuracy and symmetries, ellipticity and
 concavity."""
 
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from weingarten import continuation, curvop, spheregeom
+from weingarten.config import load_config
 from weingarten.continuation import MAX_BACKTRACKS, NEWTON_MAX_ITER, T_STEP_MIN, newton_solve
 from weingarten.curvop import (
     AdmissibilityError,
@@ -288,8 +291,9 @@ def test_jacobian_forms_w_g_and_h_once(monkeypatch):
     assert sorted(calls) == ["_metric_parts", "_norm", "_second_form_parts"]
 
 
-def test_newton_runs_one_curvature_pass_per_residual_evaluation(monkeypatch):
-    # each Jacobian reads the geometry of its iterate's residual evaluation
+def count_passes(monkeypatch):
+    """Lists that grow by one per curvature pass and per residual
+    evaluation that continuation asks for, from here on."""
     passes, evaluations = [], []
     for module in (spheregeom, curvop):
         if hasattr(module, "_curvatures"):
@@ -304,12 +308,32 @@ def test_newton_runs_one_curvature_pass_per_residual_evaluation(monkeypatch):
         return _evaluate(*args)
 
     monkeypatch.setattr(continuation, "residual_field", evaluating)
+    return passes, evaluations
+
+
+def test_newton_runs_one_curvature_pass_per_residual_evaluation(monkeypatch):
+    # each Jacobian reads the geometry of its iterate's residual evaluation,
+    # and the first residual reads the start state it is handed
     spec = ProblemSpec(
         r1=1.0, r2=4.0, alphas=(TILTED_ALPHA0, ALPHA1), phi=PROFILE, grid=SphereGrid(16, 32),
     )
-    result = newton_solve(spec, np.full(spec.grid.shape, 2.5), 1.0)
+    start = geometry(spec.grid, np.full(spec.grid.shape, 2.5))
+    passes, evaluations = count_passes(monkeypatch)
+    result = newton_solve(spec, start, 1.0)
     assert result.converged and result.iterations > 1
     assert len(passes) == len(evaluations)
+
+
+def test_continuation_forms_each_accepted_state_once(monkeypatch):
+    # the start sphere's state is the one pass beyond the line search's:
+    # each Newton solve starts from the state it is handed, and each
+    # step's monitors read the state that Newton accepted
+    config = Path(__file__).resolve().parents[1] / "configs" / "nonradial.cfg"
+    spec = replace(load_config(config).problem, grid=SphereGrid(16, 32))
+    passes, evaluations = count_passes(monkeypatch)
+    rho, report = continuation.continue_to_one(spec)
+    assert report.reached_t1 and len(report.steps) > 1
+    assert len(passes) == len(evaluations) + 1
 
 
 @pytest.mark.parametrize("call, bound", [

@@ -14,7 +14,7 @@ import pytest
 
 from weingarten.continuation import NewtonResult, check_hypotheses, initial_solution, newton_solve
 from weingarten.curvop import ProblemSpec
-from weingarten.spheregeom import SphereGrid
+from weingarten.spheregeom import SphereGrid, geometry
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -58,7 +58,7 @@ def test_traced_failed_newton_solve_reports_its_iterations():
         r1=1.0, r2=4.0, alphas=("(0.6 - 0.05*rho)/rho^2", "0.25/rho"), phi="2.5/rho",
         grid=SphereGrid(8, 16), newton_tol=1e-17,
     )
-    args = (spec, initial_solution(spec) * (1.0 + 1e-9), 0.0)
+    args = (spec, geometry(spec.grid, initial_solution(spec) * (1.0 + 1e-9)), 0.0)
     result = newton_solve(*args)
     assert result.reason.startswith("StagnationError") and result.iterations > 0
     assert load_layertrace()._describe("continuation.newton_solve", args, result) == {

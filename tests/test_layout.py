@@ -1,11 +1,16 @@
 """The package holds only what its command runs: every module is reached
 from `cli` through the package's own imports, every top-level function,
 class and constant from the commands themselves, and README's "Modules"
-table lists exactly those modules, whose names README cites as they are."""
+table lists exactly those modules, whose names README cites as they are;
+and importing the command loads nothing beyond numpy and the standard
+library."""
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -138,3 +143,20 @@ def test_readme_module_references_resolve():
     stale = [f"{module}.{name}" for module, name in sorted(cited)
              if not hasattr(importlib.import_module(f"weingarten.{module}"), name)]
     assert not stale
+
+
+def test_cli_start_up_loads_only_numpy_and_the_standard_library():
+    # every command pays for its imports at start-up; in a fresh process,
+    # after numpy, importing the command may add only the standard library
+    # and the package itself
+    probe = ("import sys, numpy\n"
+             "before = set(sys.modules)\n"
+             "import weingarten.cli\n"
+             "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert "weingarten" in loaded
+    foreign = loaded - set(sys.stdlib_module_names) - {"weingarten"}
+    assert not foreign, sorted(foreign)
