@@ -2,7 +2,9 @@
 [output] sections.  Coefficient expressions are quoted strings in the
 expression language; everything else is plain key = value.  Beyond the
 problem and its grid, a run sets only Newton's stopping tolerance and its
-output directory."""
+output directory.  `KEYS` is the one statement of the format: every key,
+with the reader of its text and its default, and `load_config` reads each
+key through it."""
 
 from __future__ import annotations
 
@@ -19,12 +21,26 @@ class ConfigError(ValueError):
     """Unusable configuration file."""
 
 
-#: the keys each section may hold
+def _unquote(text):
+    text = text.strip()
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
+        return text[1:-1]
+    return text
+
+
+def _expression(text):
+    return parse(_unquote(text))
+
+
+#: section -> key -> (reader, default), in the order a file is read; a key
+#: whose default is None is required
 KEYS = {
-    "problem": {"k", "n", "r1", "r2", "alpha0", "alpha1", "phi"},
-    "grid": {"ntheta", "nphi"},
-    "solver": {"newton_tol"},
-    "output": {"directory"},
+    "problem": {"k": (int, 2), "n": (int, 2), "r1": (float, None), "r2": (float, None),
+                "alpha0": (_expression, None), "alpha1": (_expression, None),
+                "phi": (_expression, None)},
+    "grid": {"ntheta": (int, 32), "nphi": (int, 64)},
+    "solver": {"newton_tol": (float, ProblemSpec.newton_tol)},
+    "output": {"directory": (_unquote, "out")},
 }
 
 
@@ -34,27 +50,27 @@ class RunConfig:
     outdir: Path
 
 
-def _unquote(text):
-    text = text.strip()
-    if len(text) >= 2 and text[0] == text[-1] and text[0] in "\"'":
-        return text[1:-1]
-    return text
-
-
-def _get(section, key, cast, default=None):
+def _read(section, name, key, reader, default):
+    """The value of `key` in [name], read from its text by `reader`."""
     if key not in section:
         if default is None:
-            raise ConfigError(f"missing key {key!r} in [{section.name}]")
+            raise ConfigError(f"missing key {key!r} in [{name}]")
         return default
     text = section[key]
     try:
         # float and int also read "1_0" and non-ASCII digits; a config
         # number, like an expression's, is plain ASCII
-        if "_" in text or not text.isascii():
+        if reader in (int, float) and ("_" in text or not text.isascii()):
             raise ValueError(f"{text!r} is not written in ASCII without '_'")
-        return cast(text)
+        value = reader(text)
+    except ExprSyntaxError as err:
+        raise ConfigError(f"bad expression for {key!r}: {err}") from err
     except ValueError as err:
-        raise ConfigError(f"bad value for {key!r} in [{section.name}]: {err}") from err
+        raise ConfigError(f"bad value for {key!r} in [{name}]: {err}") from err
+    # the solver treats sigma_2/sigma_1 on surfaces only; a file may say so
+    if key in ("k", "n") and value != 2:
+        raise ConfigError(f"need {key} = 2 (sigma_2/sigma_1 on surfaces), got {key}={value}")
+    return value
 
 
 def load_config(path):
@@ -76,14 +92,6 @@ def load_config(path):
     for name in ("problem", "grid"):
         if name not in parser:
             raise ConfigError(f"missing [{name}] section in {path}")
-    for name in ("solver", "output"):
-        if name not in parser:
-            parser.add_section(name)
-    problem = parser["problem"]
-    grid_sec = parser["grid"]
-    solver_sec = parser["solver"]
-    output = parser["output"]
-
     # a name the run would not read is most likely misspelled
     if parser.defaults():
         raise ConfigError(f"unknown section [{parser.default_section}] in {path}")
@@ -94,40 +102,19 @@ def load_config(path):
             if key not in KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in [{name}]")
 
-    # the solver treats sigma_2/sigma_1 on surfaces only; a file may say so
-    for key in ("k", "n"):
-        value = _get(problem, key, int, default=2)
-        if value != 2:
-            raise ConfigError(f"need {key} = 2 (sigma_2/sigma_1 on surfaces), got {key}={value}")
-    r1 = _get(problem, "r1", float)
-    r2 = _get(problem, "r2", float)
-
-    exprs = {}
-    for key in ("alpha0", "alpha1", "phi"):
-        if key not in problem:
-            raise ConfigError(f"missing key {key!r} in [problem]")
-        try:
-            exprs[key] = parse(_unquote(problem[key]))
-        except ExprSyntaxError as err:
-            raise ConfigError(f"bad expression for {key!r}: {err}") from err
-
-    shape = _get(grid_sec, "ntheta", int, default=32), _get(grid_sec, "nphi", int, default=64)
+    # [solver] and [output] may be left out, and then hold every default
+    values = {key: _read(parser[name] if name in parser else {}, name, key, reader, default)
+              for name, keys in KEYS.items() for key, (reader, default) in keys.items()}
     try:
-        grid = SphereGrid(*shape)
+        grid = SphereGrid(values["ntheta"], values["nphi"])
     except ValueError as err:
         raise ConfigError(f"bad grid: {err}") from err
-
-    newton_tol = _get(solver_sec, "newton_tol", float, default=ProblemSpec.newton_tol)
     try:
         spec = ProblemSpec(
-            r1=r1, r2=r2, alphas=(exprs["alpha0"], exprs["alpha1"]), phi=exprs["phi"],
-            grid=grid, newton_tol=newton_tol,
+            r1=values["r1"], r2=values["r2"], alphas=(values["alpha0"], values["alpha1"]),
+            phi=values["phi"], grid=grid, newton_tol=values["newton_tol"],
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
-
-    outdir = Path(_unquote(output["directory"]) if "directory" in output else "out")
-    if not outdir.is_absolute():
-        outdir = path.parent / outdir
-
-    return RunConfig(problem=spec, outdir=outdir)
+    # a relative directory is the config file's; an absolute one replaces it
+    return RunConfig(problem=spec, outdir=path.parent / values["directory"])

@@ -345,8 +345,10 @@ class SolveStep:
         return self.sigma2_min > 0.0
 
     def report_row(self):
-        """The step's row of the solve report: every field but the last."""
-        return asdict(self, dict_factory=lambda items: dict(items[:-1]))
+        """The step's row of the solve report: every field but its warnings."""
+        row = asdict(self)
+        del row["monitor_warnings"]
+        return row
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Command line interface: exit codes, artifacts, and config parsing."""
 
+import configparser
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import weingarten
 from weingarten import cli, continuation, spheregeom
-from weingarten.config import ConfigError, load_config
+from weingarten.config import KEYS, ConfigError, load_config
 from weingarten.exprlang import parse
 from weingarten.export import read_solution_csv, write_solution_csv
 
@@ -212,10 +213,14 @@ def test_coefficient_nested_too_deep_is_bad_input(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_readme_config_example_loads_with_the_defaults(tmp_path):
+def readme_config_example():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = load_config(write_cfg(tmp_path, body=block))
+    section = readme.split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_config_example_loads_with_the_defaults(tmp_path):
+    cfg = load_config(write_cfg(tmp_path, body=readme_config_example()))
     spec = cfg.problem
     assert (spec.r1, spec.r2) == (1.0, 4.0)
     assert spec.alphas == (parse("(0.6 - 0.05*rho)/rho^2"), parse("0.25/rho"))
@@ -224,6 +229,63 @@ def test_readme_config_example_loads_with_the_defaults(tmp_path):
     assert spec.grid.shape == (32, 64)
     assert spec.newton_tol == 1e-10
     assert cfg.outdir == tmp_path / "out"
+
+
+def test_readme_config_example_states_the_keys_table():
+    # README's example lists every section and key of `KEYS`, in its
+    # order, and shows each optional key at its default
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(readme_config_example())
+    assert [(name, list(parser[name])) for name in parser.sections()] == [
+        (name, list(keys)) for name, keys in KEYS.items()
+    ]
+    for name, keys in KEYS.items():
+        for key, (reader, default) in keys.items():
+            if default is not None:
+                assert reader(parser[name][key]) == default, key
+
+
+# every key at a legal value other than its default; k and n may only be 2
+EVERY_KEY = """\
+[problem]
+k = 2
+n = 2
+r1 = 0.5
+r2 = 3.0
+alpha0 = "0.2/rho^2"
+alpha1 = "0.3/rho"
+phi = "2/rho"
+
+[grid]
+ntheta = 12
+nphi = 24
+
+[solver]
+newton_tol = 1e-9
+
+[output]
+directory = {directory}
+"""
+
+
+@pytest.mark.parametrize("absolute", [False, True], ids=["quoted-relative", "absolute"])
+def test_every_config_key_is_read(tmp_path, absolute):
+    outdir = tmp_path / "elsewhere" / "runs" if absolute else tmp_path / "runs" / "a b"
+    cfg = write_cfg(tmp_path, body=EVERY_KEY.format(
+        directory=outdir if absolute else '"runs/a b"'))
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read(cfg)
+    assert {name: set(parser[name]) for name in parser.sections()} == {
+        name: set(keys) for name, keys in KEYS.items()
+    }
+    loaded = load_config(cfg)
+    spec = loaded.problem
+    assert (spec.r1, spec.r2) == (0.5, 3.0)
+    assert spec.alphas == (parse("0.2/rho^2"), parse("0.3/rho"))
+    assert spec.phi == parse("2/rho")
+    assert spec.grid.shape == (12, 24)
+    assert spec.newton_tol == 1e-9
+    assert loaded.outdir == outdir
 
 
 def test_check_passes_on_benchmark(tmp_path, capsys):

@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +18,7 @@ from weingarten.continuation import (
     HypothesisError,
     InitializationError,
     NewtonResult,
+    SolveStep,
     _record_step,
     check_hypotheses,
     continue_to_one,
@@ -389,6 +390,17 @@ def test_continuation_walks_benchmark_to_t1():
         assert row["sigma1_min"] > 0.0
         assert row["sigma2_min"] > 0.0
         assert row["residual_inf"] <= 1e-9
+
+
+def test_report_row_leaves_out_only_the_warnings():
+    # the row drops `monitor_warnings` by name: a field after it stays
+    @dataclass
+    class Extended(SolveStep):
+        extra: int
+
+    values = dict.fromkeys(REPORT_KEYS, 0.0)
+    step = Extended(**values, monitor_warnings=["rho_min below r1"], extra=1)
+    assert step.report_row() == {**values, "extra": 1}
 
 
 def test_continuation_takes_few_newton_iterations():

@@ -2,8 +2,8 @@
 from `cli` through the package's own imports, every top-level function,
 class and constant from the commands themselves, and README's "Modules"
 table lists exactly those modules, whose names README cites as they are;
-and importing the command loads nothing beyond numpy and the standard
-library."""
+every name a module imports, it reads; and importing the command loads
+nothing beyond numpy and the standard library."""
 
 import ast
 import importlib
@@ -133,6 +133,24 @@ def test_only_the_package_states_its_api():
                if any(isinstance(node, ast.Name) and node.id == "__all__"
                       and isinstance(node.ctx, ast.Store) for node in ast.walk(tree))]
     assert not stating, ", ".join(stating)
+
+
+def test_every_import_is_read():
+    # no linter runs on the package: a name an import binds and the module
+    # never reads is a dependency nothing uses
+    unread = []
+    for module, tree in sorted(parsed_modules().items()):
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unread.append(f"{module}: {name}")
+    assert not unread, unread
 
 
 def test_readme_module_references_resolve():
